@@ -5,11 +5,13 @@
 //                           typed shapes the public signatures take.
 //   kernels.hpp             AXPY/DOT/GEMV/GEMM (+ scal/asum/nrm2/iamax/ger),
 //                           templated over the number type; MultiFloat views
-//                           take the explicit-SIMD pack fast path.
+//                           take the explicit-SIMD pack fast path, and their
+//                           GEMM runs the packed engine below.
 //   planar.hpp              planar (SoA) Vector + matrix views and the
 //                           planar axpy/dot/gemv/gemm reference kernels.
-//   engine/gemm_packed.hpp  BLIS-style packed cache-blocked GEMM
-//                           (bit-identical to planar::gemm; DESIGN.md §11).
+//   engine/gemm_packed.hpp  BLIS-style packed cache-blocked GEMM over planar
+//                           or AoS views (bit-identical to planar::gemm;
+//                           DESIGN.md §11).
 
 #include "engine/gemm_packed.hpp"
 #include "kernels.hpp"

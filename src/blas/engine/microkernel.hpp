@@ -19,15 +19,15 @@
 // (enforced by check::diff_gemm_packed / tests/gemm_threads_test.cpp).
 //
 // Edge tiles (rows < mr from the last row block, cols < nr from the last
-// column block) drop to a per-row fma_range sweep over the packed panels --
-// a different loop shape but, per element, the same kk-ascending updates, so
-// identity holds at the edges too.
+// column block) run the same register accumulation over zero-padded staging
+// copies, so a short column block still computes in whole packs; per stored
+// element the updates are the same kk-ascending sequence, so identity holds
+// at the edges too.
 
 #include <cstddef>
 
 #include "../../simd/kernels.hpp"
 #include "../../simd/pack.hpp"
-#include "../planar.hpp"
 
 namespace mf::blas::engine {
 
@@ -93,21 +93,66 @@ struct MicroKernel {
     }
 
     /// Partial tile (rows <= MR, cols <= NR, at least one of them short):
-    /// per-row kk-ascending fma_range sweeps over the packed panels -- same
-    /// per-element update sequence, memory-accumulated.
+    /// the full tile's register accumulation over zero-padded staging copies
+    /// of the C tile and of each packed-B row, so short columns still run as
+    /// whole packs instead of scalar tails. Padding lanes and rows past
+    /// `rows` compute nothing that is stored; every stored element gets the
+    /// same kk-ascending updates as in full().
     static void edge(const T* const (&ap)[N], std::size_t lda,
                      const T* const (&bp)[N], std::size_t ldb,
                      T* const (&cp)[N], std::size_t ldc, std::size_t kc,
                      std::size_t rows, std::size_t cols) {
-        for (std::size_t r = 0; r < rows; ++r) {
-            T* crow[N];
-            for (int p = 0; p < N; ++p) crow[p] = cp[p] + r * ldc;
-            for (std::size_t kk = 0; kk < kc; ++kk) {
+        alignas(64) T ct[N][MR * NR] = {};
+        alignas(64) T bt[N][NR] = {};
+        for (int p = 0; p < N; ++p) {
+            for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t j = 0; j < cols; ++j) {
+                    ct[p][r * NR + j] = cp[p][r * ldc + j];
+                }
+            }
+        }
+        const std::size_t packs = (cols + W - 1) / W;
+        MultiFloat<P, N> acc[MR][NRP];
+        for (int r = 0; r < MR; ++r) {
+            for (int q = 0; q < NRP; ++q) {
+                for (int p = 0; p < N; ++p) {
+                    acc[r][q].limb[p] = P::load(ct[p] + r * NR + q * W);
+                }
+            }
+        }
+        for (std::size_t kk = 0; kk < kc; ++kk) {
+            for (int p = 0; p < N; ++p) {
+                for (std::size_t j = 0; j < cols; ++j) bt[p][j] = bp[p][kk * ldb + j];
+            }
+            MultiFloat<P, N> bv[NRP];
+            for (int q = 0; q < NRP; ++q) {
+                for (int p = 0; p < N; ++p) bv[q].limb[p] = P::load(bt[p] + q * W);
+            }
+            for (int r = 0; r < MR; ++r) {
+                if (static_cast<std::size_t>(r) >= rows) break;
                 MultiFloat<T, N> a_s;
-                for (int p = 0; p < N; ++p) a_s.limb[p] = ap[p][r * lda + kk];
-                const T* brow[N];
-                for (int p = 0; p < N; ++p) brow[p] = bp[p] + kk * ldb;
-                simd::kernels::fma_range<T, N, W>(a_s, brow, crow, 0, cols);
+                for (int p = 0; p < N; ++p) {
+                    a_s.limb[p] = ap[p][static_cast<std::size_t>(r) * lda + kk];
+                }
+                const MultiFloat<P, N> av = simd::kernels::broadcast<P, T, N>(a_s);
+                for (int q = 0; q < NRP; ++q) {
+                    if (static_cast<std::size_t>(q) >= packs) break;
+                    acc[r][q] = add(mul(av, bv[q]), acc[r][q]);
+                }
+            }
+        }
+        for (int r = 0; r < MR; ++r) {
+            for (int q = 0; q < NRP; ++q) {
+                for (int p = 0; p < N; ++p) {
+                    acc[r][q].limb[p].store(ct[p] + r * NR + q * W);
+                }
+            }
+        }
+        for (int p = 0; p < N; ++p) {
+            for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t j = 0; j < cols; ++j) {
+                    cp[p][r * ldc + j] = ct[p][r * NR + j];
+                }
             }
         }
     }

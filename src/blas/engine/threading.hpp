@@ -17,9 +17,10 @@
 //   * a std::thread fallback pool, used when OpenMP is not compiled in, or
 //     on request (ThreadMode::pool) so OpenMP builds can still exercise and
 //     differential-test the fallback path.
-// Workers are forked per call; at macro-panel granularity (hundreds of
-// microseconds to milliseconds of work per block) the fork/join cost is
-// noise, and a persistent pool would be one more global to tear down.
+// Workers are forked per call. gemm_packed forks only above its serial
+// floor (plan_gemm in gemm_packed.hpp), where each worker's share is at
+// least about ten microseconds of FPAN work; a persistent pool would be one
+// more global to tear down.
 //
 // Degradation contract: a std::thread construction that throws
 // std::system_error (pthread limit, cgroup cap, or an injected fault) is

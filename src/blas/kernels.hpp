@@ -19,20 +19,23 @@
 // pass the element type explicitly, e.g. dot<Float64x2>(...) -- get the
 // pack path for free.
 //
-// Parallelization matches the paper: ij loop ordering for GEMV, ikj loop
-// ordering for GEMM, with OpenMP over the outer loop when enabled. Every
-// parallel region is guarded by detail::in_parallel() so that kernels called
-// from inside an existing parallel region (e.g. the tiled GEMM driver in
-// simd/tiling.hpp, or a user's own omp loop) run serially instead of
-// oversubscribing with nested teams. (In this reproduction environment only
-// one core is available, so OpenMP paths are compiled and correct but add
-// no speedup; see EXPERIMENTS.md.)
+// MultiFloat GEMM (N >= 2) is a front end over the packed engine
+// (engine/gemm_packed.hpp, DESIGN.md §11), which packs straight from the AoS
+// views and plans its own threads: serial below a measured work floor, one
+// row block per worker above it. GEMV keeps the paper's ij loop order. The
+// L1/L2 kernels parallelize their outer loop with OpenMP only above a size
+// threshold; below it they call the pack kernel directly, with no parallel
+// region. Every parallel region is guarded by detail::in_parallel() so that
+// kernels called from inside an existing parallel region (e.g. the tiled GEMM
+// driver in simd/tiling.hpp, or a user's own omp loop) run serially instead
+// of oversubscribing with nested teams.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
 // MF_BLAS_REQUIRE shape/stride validation (compiled in under the
 // MF_BOUNDS_CHECK CMake option only).
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -41,6 +44,7 @@
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
 #include "../simd/dispatch.hpp"
+#include "engine/gemm_packed.hpp"
 #include "views.hpp"
 
 #if defined(_OPENMP)
@@ -67,6 +71,12 @@ inline constexpr bool is_multifloat_v = false;
 template <typename T, int N>
 inline constexpr bool is_multifloat_v<MultiFloat<T, N>> = std::floating_point<T>;
 
+/// ... with at least two limbs (the packed GEMM engine's domain)?
+template <typename V>
+inline constexpr bool is_multilimb_v = false;
+template <typename T, int N>
+inline constexpr bool is_multilimb_v<MultiFloat<T, N>> = std::floating_point<T> && N >= 2;
+
 }  // namespace detail
 
 /// y <- alpha * x + y
@@ -78,10 +88,13 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
     if constexpr (detail::is_multifloat_v<V>) {
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
+        if (n <= 4096 || detail::in_parallel()) {
+            simd::axpy_aos<T, N>(alpha, x.data, y.data, n);
+            return;
+        }
         constexpr std::size_t chunk = 2048;
         const std::size_t nchunks = (n + chunk - 1) / chunk;
-#pragma omp parallel for schedule(static) \
-    if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel for schedule(static)
         for (std::size_t c = 0; c < nchunks; ++c) {
             const std::size_t lo = c * chunk;
             const std::size_t hi = (lo + chunk < n) ? lo + chunk : n;
@@ -112,7 +125,11 @@ template <typename V>
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
         V acc{};
-#pragma omp parallel if (n > 4096 && !detail::in_parallel())
+        if (n <= 4096 || detail::in_parallel()) {
+            acc += simd::dot_aos<T, N>(x.data, y.data, n);
+            return acc;
+        }
+#pragma omp parallel
         {
 #if defined(_OPENMP)
             const std::size_t nt = static_cast<std::size_t>(omp_get_num_threads());
@@ -165,7 +182,13 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     if constexpr (detail::is_multifloat_v<V>) {
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+        if (n <= 64 || detail::in_parallel()) {
+            for (std::size_t i = 0; i < n; ++i) {
+                y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
+            }
+            return;
+        }
+#pragma omp parallel for schedule(static)
         for (std::size_t i = 0; i < n; ++i) {
             y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
         }
@@ -256,7 +279,10 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     }
 }
 
-/// C <- A B  (row-major; C is n x m, A is n x k, B is k x m; ikj loop order)
+/// C <- A B  (row-major; C is n x m, A is n x k, B is k x m). MultiFloat
+/// views with N >= 2 zero C and run the packed engine's C += A B on the AoS
+/// views, bit-identical to planar::gemm; other types (N = 1 included) take
+/// the ikj loop below.
 template <typename V>
 void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
     MF_GUARD_SENTINEL("blas.gemm");
@@ -269,18 +295,17 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
     const std::size_t n = c.rows;
     const std::size_t m = c.cols;
     const std::size_t k = a.cols;
+    if constexpr (detail::is_multilimb_v<V>) {
+        for (std::size_t i = 0; i < n; ++i) std::fill_n(c.row(i), m, V{});
+        engine::detail::gemm<typename V::value_type, V::num_limbs>(a, b, c, {});
+    } else {
 #pragma omp parallel for schedule(static) if (n > 16 && !detail::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        V* crow = c.row(i);
-        const V* arow = a.row(i);
-        for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const V aik = arow[kk];
-            if constexpr (detail::is_multifloat_v<V>) {
-                using T = typename V::value_type;
-                constexpr int N = V::num_limbs;
-                simd::axpy_aos<T, N>(aik, b.row(kk), crow, m);
-            } else {
+        for (std::size_t i = 0; i < n; ++i) {
+            V* crow = c.row(i);
+            const V* arow = a.row(i);
+            for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const V aik = arow[kk];
                 const V* brow = b.row(kk);
                 for (std::size_t j = 0; j < m; ++j) {
                     crow[j] += aik * brow[j];

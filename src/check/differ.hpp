@@ -15,7 +15,10 @@
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. sequential
 //     planar::gemm across every available backend, thread count, and
 //     threading substrate (OpenMP and the std::thread pool), including
-//     deliberately tiny cache blocks so pack edges are exercised.
+//     deliberately tiny cache blocks so pack edges are exercised;
+//   * the AoS front end of the same engine (blas::gemm and the AoS
+//     gemm_packed overload) on strided sub-views vs. planar::gemm, across
+//     the same backend x thread-cap x substrate sweep.
 //
 // Comparison is raw bit identity per limb, except that any-NaN == any-NaN:
 // lanes that produce NaN must agree on NaN-ness, not on payload bits.
@@ -23,10 +26,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "../blas/engine/gemm_packed.hpp"
+#include "../blas/kernels.hpp"
 #include "../blas/planar.hpp"
 #include "../simd/simd.hpp"
 #include "../simd/tiling.hpp"
@@ -41,7 +46,7 @@ namespace mf::check {
 /// One diffed (kernel, backend/schedule) combination.
 struct DiffRecord {
     std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_tiled" |
-                          ///< "gemm_packed"
+                          ///< "gemm_packed" | "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
     std::string backend;  ///< backend name, or "threads=K" / "nested" for gemm
@@ -314,6 +319,107 @@ template <std::floating_point T, int N>
                                detail::count_mismatches(c, want, n * m)};
                 out.push_back(std::move(rec));
             }
+        }
+    }
+    return out;
+}
+
+/// Diff the AoS GEMM front end against sequential planar::gemm across every
+/// available backend x thread cap x substrate. Operands are strided
+/// sub-views (row stride cols + 3) whose padding holds NaN sentinels, and C
+/// starts as garbage: `automatic` runs blas::gemm (C <- A B, worker cap set
+/// through the OpenMP runtime), `pool` runs the AoS gemm_packed overload on
+/// a zeroed C (C += A B) with the cap in GemmConfig. A record's mismatches
+/// count wrong C elements plus clobbered padding elements.
+template <std::floating_point T, int N>
+[[nodiscard]] std::vector<DiffRecord> diff_gemm_aos(
+    std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
+    const std::vector<int>& thread_counts, const GenConfig& cfg = {}) {
+    using V = MultiFloat<T, N>;
+    const char* type = sizeof(T) == 8 ? "double" : "float";
+    constexpr std::size_t pad = 3;
+    std::mt19937_64 rng(seed);
+    planar::Vector<T, N> a, b;
+    detail::fill_vectors(rng, n * k, cfg, a);
+    detail::fill_vectors(rng, k * m, cfg, b);
+    planar::Vector<T, N> want(n * m);
+    planar::gemm(a, b, want, n, k, m);
+
+    const V sentinel(std::numeric_limits<T>::quiet_NaN());
+    const auto strided = [&](const planar::Vector<T, N>& src, std::size_t rows,
+                             std::size_t cols) {
+        std::vector<V> out(rows * (cols + pad), sentinel);
+        for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < cols; ++j) {
+                out[i * (cols + pad) + j] = src.get(i * cols + j);
+            }
+        }
+        return out;
+    };
+    const std::vector<V> as = strided(a, n, k);
+    const std::vector<V> bs = strided(b, k, m);
+    const blas::ConstMatrixView<V> av{as.data(), n, k, k + pad};
+    const blas::ConstMatrixView<V> bv{bs.data(), k, m, m + pad};
+    const auto mismatches = [&](const std::vector<V>& c) {
+        std::uint64_t bad = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < m + pad; ++j) {
+                const V got = c[i * (m + pad) + j];
+                const V ref = j < m ? want.get(i * m + j) : sentinel;
+                for (int p = 0; p < N; ++p) {
+                    if (!detail::same_bits(got.limb[p], ref.limb[p])) {
+                        ++bad;
+                        break;
+                    }
+                }
+            }
+        }
+        return bad;
+    };
+
+    // A strided C holding `fill`, its padding holding the sentinel.
+    const auto fresh_c = [&](const V& fill) {
+        std::vector<V> c(n * (m + pad), sentinel);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < m; ++j) c[i * (m + pad) + j] = fill;
+        }
+        return c;
+    };
+
+    std::vector<DiffRecord> out;
+    detail::BackendGuard guard;
+#if defined(_OPENMP)
+    const int saved_threads = omp_get_max_threads();
+#endif
+    for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
+                             simd::Backend::avx2, simd::Backend::avx512,
+                             simd::Backend::neon}) {
+        if (!simd::backend_available(bk)) continue;
+        simd::set_backend(bk);
+        for (int t : thread_counts) {
+            const std::string label = std::string(simd::backend_name(bk)) +
+                                      "/threads=" + std::to_string(t);
+            // C <- A B over garbage.
+            std::vector<V> c = fresh_c(V(T(7)));
+#if defined(_OPENMP)
+            omp_set_num_threads(t);
+#endif
+            blas::gemm<V>(av, bv, blas::MatrixView<V>{c.data(), n, m, m + pad});
+#if defined(_OPENMP)
+            omp_set_num_threads(saved_threads);
+#endif
+            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/auto",
+                                     simd::backend_width<T>(bk), n * m, mismatches(c)});
+
+            // C += A B on a zeroed C through the pool substrate.
+            std::vector<V> cp = fresh_c(V{});
+            blas::GemmConfig pcfg;
+            pcfg.threads = blas::engine::ThreadMode::pool;
+            pcfg.max_threads = static_cast<unsigned>(t);
+            blas::gemm_packed<T, N>(av, bv, blas::MatrixView<V>{cp.data(), n, m, m + pad},
+                                    pcfg);
+            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/pool",
+                                     simd::backend_width<T>(bk), n * m, mismatches(cp)});
         }
     }
     return out;

@@ -18,6 +18,9 @@
 //                           must degrade to the sequential unpacked path
 //                           (mf_guard_degraded_total{path="alloc"}),
 //                           bit-identical
+//   alloc[0]-aos            the same through the AoS front end (blas::gemm
+//                           on MultiFloat views): the B panel reservation
+//                           fails, the AoS unpacked path must take over
 //   thread[k]               the k-th worker spawn throws system_error; the
 //                           calling thread must absorb the orphaned blocks
 //                           (mf_guard_degraded_total{path="thread"}),
@@ -29,9 +32,11 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "../blas/engine/gemm_packed.hpp"
+#include "../blas/kernels.hpp"
 #include "../guard/guard.hpp"
 #include "../telemetry/registry.hpp"
 #include "differ.hpp"
@@ -95,10 +100,24 @@ namespace detail {
         planar::gemm(a, b, want, n, k, m);
     }
 
+    // AoS copies for the blas::gemm front end.
+    using V = MultiFloat<T, N>;
+    std::vector<V> a_aos(n * k), b_aos(k * m);
+    for (std::size_t i = 0; i < n * k; ++i) a_aos[i] = a.get(i);
+    for (std::size_t i = 0; i < k * m; ++i) b_aos[i] = b.get(i);
+    const auto aos_gemm = [&](planar::Vector<T, N>& c) {
+        std::vector<V> c_aos(n * m);
+        blas::gemm<V>(blas::view(std::as_const(a_aos), n, k),
+                      blas::view(std::as_const(b_aos), k, m), blas::view(c_aos, n, m));
+        for (std::size_t i = 0; i < n * m; ++i) c.set(i, c_aos[i]);
+    };
+
     std::vector<FaultCase> out;
-    const auto run_case = [&](std::string name, std::string_view counter_needle,
-                              bool require_identical, const blas::GemmConfig& gcfg,
-                              auto&& inject_fault) {
+    // One case: `inject_fault` arms the fault, then `call` computes C = A B
+    // into its zeroed argument.
+    const auto run_case_with = [&](std::string name, std::string_view counter_needle,
+                                   bool require_identical, auto&& inject_fault,
+                                   auto&& call) {
         FaultCase fc;
         fc.name = std::move(name);
         const std::uint64_t before = detail::counters_containing(counter_needle);
@@ -106,9 +125,7 @@ namespace detail {
         {
             guard::FpEnvSaver restore;  // undo whatever the fault leaves behind
             inject_fault();
-            blas::gemm_packed(planar::matrix_view(a, n, k),
-                              planar::matrix_view(b, k, m),
-                              planar::matrix_view(c, n, m), gcfg);
+            call(c);
         }
         guard::inject::reset();
         const std::uint64_t delta =
@@ -124,6 +141,17 @@ namespace detail {
         fc.detail = "counter_delta=" + std::to_string(delta) +
                     " mismatches=" + std::to_string(bad);
         out.push_back(std::move(fc));
+    };
+    // The planar gemm_packed cases.
+    const auto run_case = [&](std::string name, std::string_view counter_needle,
+                              bool require_identical, const blas::GemmConfig& gcfg,
+                              auto&& inject_fault) {
+        run_case_with(std::move(name), counter_needle, require_identical, inject_fault,
+                      [&](planar::Vector<T, N>& c) {
+                          blas::gemm_packed(planar::matrix_view(a, n, k),
+                                            planar::matrix_view(b, k, m),
+                                            planar::matrix_view(c, n, m), gcfg);
+                      });
     };
 
     blas::GemmConfig serial;
@@ -171,6 +199,10 @@ namespace detail {
         // the last one so every earlier reservation has already succeeded.
         run_case("alloc[4]-pool", "path=\"alloc\"", /*require_identical=*/true,
                  pool, [&] { guard::inject::arm_alloc(4); });
+        // AoS front end: a call this small runs serially, so reservation 0
+        // is its B panel.
+        run_case_with("alloc[0]-aos", "path=\"alloc\"", /*require_identical=*/true,
+                      [&] { guard::inject::arm_alloc(0); }, aos_gemm);
     }
 
     if (opt.thread) {

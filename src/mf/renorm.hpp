@@ -16,9 +16,7 @@
 // generated code is straight-line with no branches.
 
 #include <cstddef>
-#include <string>
 
-#include "../telemetry/events.hpp"
 #include "eft.hpp"
 
 namespace mf {
@@ -62,12 +60,9 @@ MF_ALWAYS_INLINE constexpr void renorm_pass(T (&v)[K], int lo, int hi) noexcept 
 template <int N, int RENORMS = 1, FloatingPoint T, std::size_t K>
 MF_ALWAYS_INLINE constexpr void accumulate(T (&v)[K]) noexcept {
     static_assert(N <= static_cast<int>(K));
-    // One renormalization-network event per invocation, labeled by the sweep
-    // width K (pack instantiations count once per pack, i.e. per W lanes).
-    // The macro guards std::is_constant_evaluated(), so constant-folded
-    // networks stay constexpr; compiled out entirely when telemetry is off.
-    MF_TELEM_COUNT(std::string("mf_renorm_accumulate_total{k=\"") +
-                   std::to_string(static_cast<int>(K)) + "\"}");
+    // No telemetry here: a counter inside the innermost network defeats
+    // autovectorization of every scalar N >= 3 loop. Work is counted at the
+    // BLAS call boundaries instead (mf_simd_kernel_ops_total).
 #pragma GCC unroll 8
     for (int pass = 0; pass < N; ++pass) {
         distill_pass(v, pass, static_cast<int>(K) - 1);

@@ -6,7 +6,8 @@
 // called from inside an enclosing parallel region instead of
 // oversubscribing. gemm_packed is additionally swept across every available
 // SIMD backend and both threading substrates (OpenMP and the std::thread
-// fallback pool).
+// fallback pool). The AoS front end (blas::gemm) gets the same sweep on
+// strided sub-views.
 
 #include <gtest/gtest.h>
 
@@ -91,6 +92,65 @@ TEST(GemmPacked, TinyBlocksForceEdgeTiles) {
                                                     mf::check::GenConfig{},
                                                     mf::blas::BlockShape{8, 8, 16}));
 }
+
+// The shapes above all fall below the serial floor. These exceed it: the
+// threaded partition (with an auto mc too large to share, the per-worker mc
+// split) must be planned, and must stay bit-identical.
+template <std::floating_point T, int N>
+unsigned planned_gemm_workers(std::size_t n, std::size_t k, std::size_t m,
+                              unsigned cap) {
+    mf::blas::GemmConfig cfg;
+    cfg.max_threads = cap;
+    unsigned workers = 0;
+    mf::simd::with_active_width<T>([&](auto w) {
+        workers = mf::blas::engine::plan_gemm<T, N, w()>(n, m, k, cfg).workers;
+    });
+    return workers;
+}
+
+TEST(GemmPacked, SmallShapesRunSerially) {
+    EXPECT_EQ((planned_gemm_workers<double, 2>(23, 17, 19, 8)), 1u);
+    EXPECT_EQ((planned_gemm_workers<double, 4>(11, 7, 9, 8)), 1u);
+    EXPECT_EQ((planned_gemm_workers<float, 2>(15, 9, 14, 8)), 1u);
+}
+
+TEST(GemmPacked, ThreadedAboveSerialFloor) {
+    for (unsigned cap : {2u, 8u}) {
+        EXPECT_GE((planned_gemm_workers<double, 2>(97, 41, 61, cap)), 2u) << cap;
+        EXPECT_GE((planned_gemm_workers<double, 4>(61, 23, 29, cap)), 2u) << cap;
+    }
+    expect_packed_clean(diff_gemm_packed<double, 2>(37, 97, 41, 61, {1, 2, 8}));
+    expect_packed_clean(diff_gemm_packed<double, 4>(38, 61, 23, 29, {1, 2, 8}));
+}
+
+// --- AoS front end ---------------------------------------------------------
+// blas::gemm and the AoS gemm_packed overload run the same engine straight
+// off interleaved MultiFloat views. Row counts straddle MR (4) and the serial
+// floor; the larger shapes are threaded with the mc split. Column counts
+// (n + 11) leave edge tiles that end inside a pack and, where a tile is two
+// packs wide, inside its second pack. Operands are strided sub-views.
+
+constexpr std::size_t kAosRows[] = {1, 3, 4, 5, 17, 48, 97};
+
+template <std::floating_point T, int N>
+void expect_aos_clean(std::uint64_t seed) {
+    for (std::size_t n : kAosRows) {
+        const std::size_t k = n == 97 ? 31 : n;
+        const std::vector<DiffRecord> diffs =
+            diff_gemm_aos<T, N>(seed + n, n, k, n + 11, {1, 2, 8});
+        ASSERT_FALSE(diffs.empty());
+        for (const DiffRecord& d : diffs) {
+            EXPECT_EQ(d.mismatches, 0u) << d.kernel << " " << d.type << " N=" << d.limbs
+                                        << " n=" << n << " [" << d.backend << "]";
+        }
+    }
+    EXPECT_GE((planned_gemm_workers<T, N>(48, 48, 48, 2)), 2u);
+}
+
+TEST(GemmAos, BitIdenticalToPlanarDouble2) { expect_aos_clean<double, 2>(40); }
+TEST(GemmAos, BitIdenticalToPlanarDouble3) { expect_aos_clean<double, 3>(41); }
+TEST(GemmAos, BitIdenticalToPlanarDouble4) { expect_aos_clean<double, 4>(42); }
+TEST(GemmAos, BitIdenticalToPlanarFloat2) { expect_aos_clean<float, 2>(43); }
 
 // Degenerate shapes must be exact no-ops (C untouched).
 TEST(GemmPacked, DegenerateShapesAreNoOps) {

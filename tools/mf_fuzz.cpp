@@ -380,6 +380,9 @@ int main(int argc, char** argv) {
                 auto p = diff_gemm_packed<double, 2>(opt.seed, 17, 9, 13, threads,
                                                      cfg, mf::blas::BlockShape{8, 8, 16});
                 report.diffs.insert(report.diffs.end(), p.begin(), p.end());
+                // AoS front end: the same engine straight off MultiFloat views.
+                auto s = diff_gemm_aos<double, 2>(opt.seed, 17, 9, 13, threads, cfg);
+                report.diffs.insert(report.diffs.end(), s.begin(), s.end());
             }
             if (want(opt.limbs, "3")) {
                 auto d = diff_backends<double, 3>(opt.seed, 192, rounds, cfg, opt.backend);
@@ -393,6 +396,8 @@ int main(int argc, char** argv) {
                 auto p = diff_gemm_packed<double, 4>(opt.seed, 11, 7, 9, threads,
                                                      cfg, mf::blas::BlockShape{8, 8, 16});
                 report.diffs.insert(report.diffs.end(), p.begin(), p.end());
+                auto s = diff_gemm_aos<double, 4>(opt.seed, 11, 7, 9, threads, cfg);
+                report.diffs.insert(report.diffs.end(), s.begin(), s.end());
             }
         }
         if (want(opt.type, "float")) {
