@@ -1,15 +1,15 @@
-// GEMM engine comparison: the untiled ikj sweep (planar::gemm) vs the tiled
-// driver (simd::gemm_tiled) vs the packed cache-blocked engine
-// (blas::gemm_packed), with machine-readable output (BENCH_gemm.json).
+// GEMM engine comparison: the untiled ikj sweep (planar::gemm) vs the packed
+// cache-blocked engine (blas::gemm_packed), with machine-readable output
+// (BENCH_gemm.json).
 //
-// All three compute bit-identical results (the conformance tier enforces
-// it), so this benchmark isolates pure data-movement/scheduling effects:
-// tiling reuses B rows from cache, packing additionally linearizes A and B
-// into contiguous aligned panels and holds the C micro-tile in registers
-// across the whole k extent. The headline comparison is Float64x2 at 512^3
-// (the paper's L3-resident GEMM regime); smaller dims and longer expansions
-// chart where each engine's overheads amortize. See EXPERIMENTS.md for the
-// analysis of these numbers on the CI machine (single core, FP-port-bound).
+// Both compute bit-identical results (the conformance tier enforces it), so
+// this benchmark isolates pure data-movement/scheduling effects: packing
+// linearizes A and B into contiguous aligned panels sized to the cache
+// levels and holds the C micro-tile in registers across the whole k
+// extent. The headline comparison is Float64x2 at 512^3 (the paper's
+// L3-resident GEMM regime); smaller dims and longer expansions chart where
+// the engine's overheads amortize. See EXPERIMENTS.md for the analysis of
+// these numbers.
 //
 // Timings use median-of-K (bench::median_time): these records feed the
 // BENCH_*.json trajectories, where run-to-run robustness beats peak
@@ -71,10 +71,8 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
              simd::backend_name(simd::active_backend()), width, ns, gflops, dim});
 }
 
-/// One (type, N, n) cube through all three engines. C accumulates across
-/// reps for tiled/packed (their contract is C += A B) -- harmless for
-/// timing, and zeroing inside the lambda would bill the sweep's hidden
-/// zero-pass to the wrong engine.
+/// One (type, N, n) cube through both engines. C accumulates across reps
+/// (the contract of both is C += A B) -- harmless for timing.
 template <FloatingPoint T, int N>
 void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
               double min_time) {
@@ -89,15 +87,6 @@ void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
         [&] { planar::gemm(a, b, c, n, n, n); }, min_time);
     report(out, "gemm_sweep", type_name, N, width, ts, ops, n);
 
-    const double tt = bench::median_time(
-        [&] {
-            simd::gemm_tiled(planar::matrix_view(a, n, n),
-                             planar::matrix_view(b, n, n),
-                             planar::matrix_view(c, n, n));
-        },
-        min_time);
-    report(out, "gemm_tiled", type_name, N, width, tt, ops, n);
-
     const double tp = bench::median_time(
         [&] {
             blas::gemm_packed(planar::matrix_view(a, n, n),
@@ -107,8 +96,8 @@ void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
         min_time);
     report(out, "gemm_packed", type_name, N, width, tp, ops, n);
 
-    std::printf("  %-11s %-7s N=%d  %4zu^3  tiled/sweep %.3fx  packed/tiled %.3fx\n",
-                "(speedup)", type_name, N, n, ts / tt, tt / tp);
+    std::printf("  %-11s %-7s N=%d  %4zu^3  packed/sweep %.3fx\n", "(speedup)",
+                type_name, N, n, ts / tp);
 }
 
 }  // namespace
@@ -129,7 +118,7 @@ int main(int argc, char** argv) {
     }
     // Default (widest-detected) backend: the engines' relative standing is
     // what this benchmark tracks; the per-backend spread is bench_simd's job.
-    std::printf("bench_gemm: sweep vs tiled vs packed (backend %s)%s\n",
+    std::printf("bench_gemm: sweep vs packed (backend %s)%s\n",
                 simd::backend_name(simd::active_backend()),
                 quick ? " [quick]" : "");
     bench::JsonReport out;

@@ -219,7 +219,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         }
         if (sink.limb[0] == T(-1)) std::printf("impossible\n");  // keep sink live
     }
-    // GEMM (untiled explicit path + tiled driver on the widest backend)
+    // GEMM (untiled explicit path, per backend)
     {
         const std::size_t gn = runtime_size(48);
         const std::size_t gk = runtime_size(48);
@@ -238,14 +238,6 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             report(out, "gemm", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, ops);
         }
-        const double tt = bench::median_time([&] {
-            simd::gemm_tiled(planar::matrix_view(a, gn, gk),
-                             planar::matrix_view(bm, gk, gm),
-                             planar::matrix_view(c, gn, gm));
-        });
-        report(out, "gemm_tiled", type_name, N,
-               simd::backend_name(simd::active_backend()),
-               simd::active_width<T>(), tt, ops);
     }
     // Leave the widest backend active for whoever runs next.
     const auto avail = available_backends();

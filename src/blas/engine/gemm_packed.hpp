@@ -4,9 +4,8 @@
 // C += A B with A (n x k), B (k x m), C (n x m), all row-major views in one
 // layout -- planar (one plane per limb) or AoS (MultiFloat<T, N> elements,
 // the layout blas::gemm serves) -- with the accumulate contract of
-// planar::gemm and simd::gemm_tiled. Layout touches only packing (A and B)
-// and the C micro-tile load/store (on_c_tile); every loop in between is
-// shared.
+// planar::gemm. Layout touches only packing (A and B) and the C micro-tile
+// load/store (on_c_tile); every loop in between is shared.
 //
 // Loop structure (outside in), following the classical
 // Goto/BLIS decomposition:
@@ -37,6 +36,7 @@
 #include <cstddef>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 #include "../../guard/guard.hpp"
 #include "../../simd/dispatch.hpp"
@@ -142,36 +142,12 @@ template <std::floating_point T, int N, int W>
 
 namespace detail {
 
-/// Sequential unpacked fallback: planar::gemm's exact ikj order re-expressed
-/// over (possibly strided) views. Bit-identical to gemm_packed for every
-/// pack width, because each C element sees its k updates kk-ascending and
-/// every update is the same lane-independent FPAN sequence -- which is why
-/// the engine may switch to this path when panel scratch cannot be
-/// allocated without changing a single result bit.
-template <FloatingPoint T, int N>
-void gemm_unpacked(const planar::ConstMatrixView<T, N>& a,
-                   const planar::ConstMatrixView<T, N>& b,
-                   const planar::MatrixView<T, N>& c) {
-    const std::size_t n = c.rows;
-    const std::size_t m = c.cols;
-    const std::size_t k = a.cols;
-    simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const MultiFloat<T, N> aik = a.get(i, kk);
-                const T* brow[N];
-                T* crow[N];
-                for (int p = 0; p < N; ++p) {
-                    brow[p] = b.row(p, kk);
-                    crow[p] = c.row(p, i);
-                }
-                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, m);
-            }
-        }
-    });
-}
-
-/// The same fallback over AoS views.
+/// Sequential unpacked fallback over AoS views: planar::gemm's exact ikj
+/// order (planar views fall back to planar::gemm itself). Bit-identical to
+/// the packed path for every pack width, because each C element sees its k
+/// updates kk-ascending and every update is the same lane-independent FPAN
+/// sequence -- which is why the engine may switch to it when panel scratch
+/// cannot be allocated without changing a single result bit.
 template <FloatingPoint T, int N>
 void gemm_unpacked(const ConstMatrixView<MultiFloat<T, N>>& a,
                    const ConstMatrixView<MultiFloat<T, N>>& b,
@@ -227,8 +203,9 @@ MF_ALWAYS_INLINE void on_c_tile(const MatrixView<MultiFloat<T, N>>& c, std::size
 ///
 /// ALL panel scratch -- the shared B panel plus one A block per worker slot
 /// -- is reserved before any C element is written, and reservation failure
-/// degrades to gemm_unpacked (bit-identical, counted as
-/// mf_guard_degraded_total{path="alloc"}). After the up-front reserve, the
+/// degrades to the sequential ikj loop: planar::gemm, or gemm_unpacked for
+/// AoS views (bit-identical, counted as mf_guard_degraded_total{path=
+/// "alloc"}). After the up-front reserve, the
 /// in-loop ensure() calls are guaranteed allocation-free: every block
 /// extent is bounded by the reserved worst case.
 template <FloatingPoint T, int N, typename AView, typename CView>
@@ -261,7 +238,11 @@ void gemm(const AView& a, const AView& b, const CView& c, const GemmConfig& cfg)
             }
         } catch (const std::bad_alloc&) {
             MF_TELEM_COUNT_N("mf_guard_degraded_total{path=\"alloc\"}", 1);
-            gemm_unpacked<T, N>(a, b, c);
+            if constexpr (std::is_same_v<CView, planar::MatrixView<T, N>>) {
+                planar::gemm<T, N>(a, b, c);
+            } else {
+                gemm_unpacked<T, N>(a, b, c);
+            }
             return;
         }
         const T* bpk[N];

@@ -45,15 +45,16 @@
 
 namespace mf::blas::engine {
 
-/// How parallel_blocks executes its workers.
+/// How parallel_blocks_slots executes its workers.
 enum class ThreadMode {
     automatic,  ///< OpenMP when compiled in, std::thread pool otherwise
     pool,       ///< force the std::thread pool (testable in OpenMP builds)
     serial,     ///< no worker threads at all
 };
 
-/// Same guard as blas::detail::in_parallel; redeclared here so the engine
-/// headers stay self-contained.
+/// True when already executing inside an OpenMP parallel region. Every
+/// parallel region in mf::blas (this engine and the L1/L2 kernels of
+/// kernels.hpp) consults it to run serially instead of nesting a team.
 inline bool in_parallel() noexcept {
 #if defined(_OPENMP)
     return omp_in_parallel() != 0;
@@ -73,10 +74,11 @@ inline bool in_parallel() noexcept {
 #endif
 }
 
-/// Worker count parallel_blocks would PLAN for this call -- an upper bound
-/// on the slot index fn will ever see, so callers can pre-size per-slot
-/// scratch before entering the parallel region. (The granted team can be
-/// smaller; slots are always < the planned count.)
+/// Worker count parallel_blocks_slots would PLAN for this call -- an upper
+/// bound on the slot index fn will ever see, so callers can pre-size
+/// per-slot scratch before entering the parallel region. (The granted team
+/// can be smaller; slots are always < the planned count.) Inside an
+/// enclosing OpenMP parallel region the plan is always one worker.
 [[nodiscard]] inline unsigned planned_workers(std::size_t nblocks,
                                               ThreadMode mode = ThreadMode::automatic,
                                               unsigned max_threads = 0) noexcept {
@@ -164,16 +166,6 @@ void parallel_blocks_slots(std::size_t nblocks, F&& fn,
 #else
     detail::run_pool(nw, nblocks, std::forward<F>(fn));
 #endif
-}
-
-/// Block-only adapter (no slot): the original parallel_blocks surface.
-template <typename F>
-void parallel_blocks(std::size_t nblocks, F&& fn,
-                     ThreadMode mode = ThreadMode::automatic,
-                     unsigned max_threads = 0) {
-    parallel_blocks_slots(
-        nblocks, [&fn](std::size_t blk, unsigned) { fn(blk); }, mode,
-        max_threads);
 }
 
 }  // namespace mf::blas::engine

@@ -7,9 +7,7 @@
 // The public signatures take the typed views of views.hpp -- a vector view
 // carries (data, size), a matrix view carries (data, rows, cols, stride) --
 // so shapes travel with the data and sub-matrix blocks (stride > cols) work
-// without copying. The historical `std::span + n, k, m` signatures survive
-// as thin [[deprecated]] forwarding wrappers below; they assume contiguous
-// storage exactly as before.
+// without copying.
 //
 // MultiFloat views additionally take an explicit-SIMD fast path: the loop
 // bodies run on mf::simd packs (runtime-dispatched to the widest available
@@ -25,10 +23,9 @@
 // row block per worker above it. GEMV keeps the paper's ij loop order. The
 // L1/L2 kernels parallelize their outer loop with OpenMP only above a size
 // threshold; below it they call the pack kernel directly, with no parallel
-// region. Every parallel region is guarded by detail::in_parallel() so that
-// kernels called from inside an existing parallel region (e.g. the tiled GEMM
-// driver in simd/tiling.hpp, or a user's own omp loop) run serially instead
-// of oversubscribing with nested teams.
+// region. Every parallel region is guarded by engine::in_parallel() so that
+// kernels called from inside an existing parallel region (e.g. a user's own
+// omp loop) run serially instead of oversubscribing with nested teams.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
@@ -39,7 +36,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <span>
 
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
@@ -54,16 +50,6 @@
 namespace mf::blas {
 
 namespace detail {
-
-/// True when already executing inside an OpenMP parallel region: used in
-/// every `if` clause below to suppress nested parallelism.
-inline bool in_parallel() noexcept {
-#if defined(_OPENMP)
-    return omp_in_parallel() != 0;
-#else
-    return false;
-#endif
-}
 
 /// Is V a MultiFloat over a *scalar* base type (the pack-kernel fast path)?
 template <typename V>
@@ -88,7 +74,7 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
     if constexpr (detail::is_multifloat_v<V>) {
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
-        if (n <= 4096 || detail::in_parallel()) {
+        if (n <= 4096 || engine::in_parallel()) {
             simd::axpy_aos<T, N>(alpha, x.data, y.data, n);
             return;
         }
@@ -102,7 +88,7 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
         }
     } else {
 #pragma omp parallel for schedule(static) \
-    if (n > 4096 && !detail::in_parallel())
+    if (n > 4096 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             y[i] += alpha * x[i];
         }
@@ -125,7 +111,7 @@ template <typename V>
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
         V acc{};
-        if (n <= 4096 || detail::in_parallel()) {
+        if (n <= 4096 || engine::in_parallel()) {
             acc += simd::dot_aos<T, N>(x.data, y.data, n);
             return acc;
         }
@@ -148,7 +134,7 @@ template <typename V>
     } else {
         constexpr std::size_t K = 8;
         V acc{};
-#pragma omp parallel if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel if (n > 4096 && !engine::in_parallel())
         {
             V part[K]{};
 #pragma omp for schedule(static) nowait
@@ -182,7 +168,7 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     if constexpr (detail::is_multifloat_v<V>) {
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
-        if (n <= 64 || detail::in_parallel()) {
+        if (n <= 64 || engine::in_parallel()) {
             for (std::size_t i = 0; i < n; ++i) {
                 y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
             }
@@ -194,7 +180,7 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
         }
     } else {
         constexpr std::size_t K = 4;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             const V* arow = a.row(i);
             V part[K]{};
@@ -218,7 +204,7 @@ template <typename V>
 void scal(const V& alpha, VectorView<V> x) {
     MF_GUARD_SENTINEL("blas.scal");
     const std::size_t n = x.size;
-#pragma omp parallel for schedule(static) if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 4096 && !engine::in_parallel())
     for (std::size_t i = 0; i < n; ++i) {
         x[i] *= alpha;
     }
@@ -263,7 +249,7 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.ger", "a.stride >= a.cols");
     const std::size_t n = x.size;
     const std::size_t m = y.size;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
     for (std::size_t i = 0; i < n; ++i) {
         const V ax = alpha * x[i];
         if constexpr (detail::is_multifloat_v<V>) {
@@ -299,7 +285,7 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
         for (std::size_t i = 0; i < n; ++i) std::fill_n(c.row(i), m, V{});
         engine::detail::gemm<typename V::value_type, V::num_limbs>(a, b, c, {});
     } else {
-#pragma omp parallel for schedule(static) if (n > 16 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 16 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             V* crow = c.row(i);
             const V* arow = a.row(i);
@@ -313,77 +299,6 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated span-based signatures (pre-view API). Thin forwarders; will be
-// removed once external callers have migrated. All in-repo callers use the
-// view API; tests/blas_views_test.cpp keeps these compiling under a local
-// -Wdeprecated-declarations suppression.
-// ---------------------------------------------------------------------------
-
-template <typename V>
-[[deprecated("use axpy(alpha, ConstVectorView, VectorView)")]]
-void axpy(const V& alpha, std::span<const V> x, std::span<V> y) {
-    axpy<V>(alpha, ConstVectorView<V>{x.data(), x.size()},
-            VectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use dot(ConstVectorView, ConstVectorView)")]]
-[[nodiscard]] V dot(std::span<const V> x, std::span<const V> y) {
-    return dot<V>(ConstVectorView<V>{x.data(), x.size()},
-                  ConstVectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use gemv(ConstMatrixView, ConstVectorView, VectorView)")]]
-void gemv(std::span<const V> a, std::size_t n, std::size_t m,
-          std::span<const V> x, std::span<V> y) {
-    gemv<V>(ConstMatrixView<V>{a.data(), n, m},
-            ConstVectorView<V>{x.data(), x.size()},
-            VectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use scal(alpha, VectorView)")]]
-void scal(const V& alpha, std::span<V> x) {
-    scal<V>(alpha, VectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use asum(ConstVectorView)")]]
-[[nodiscard]] V asum(std::span<const V> x) {
-    return asum<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use nrm2(ConstVectorView)")]]
-[[nodiscard]] V nrm2(std::span<const V> x) {
-    return nrm2<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use iamax(ConstVectorView)")]]
-[[nodiscard]] std::size_t iamax(std::span<const V> x) {
-    return iamax<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use ger(alpha, ConstVectorView, ConstVectorView, MatrixView)")]]
-void ger(const V& alpha, std::span<const V> x, std::span<const V> y,
-         std::span<V> a) {
-    ger<V>(alpha, ConstVectorView<V>{x.data(), x.size()},
-           ConstVectorView<V>{y.data(), y.size()},
-           MatrixView<V>{a.data(), x.size(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use gemm(ConstMatrixView, ConstMatrixView, MatrixView)")]]
-void gemm(std::span<const V> a, std::span<const V> b, std::span<V> c,
-          std::size_t n, std::size_t k, std::size_t m) {
-    gemm<V>(ConstMatrixView<V>{a.data(), n, k}, ConstMatrixView<V>{b.data(), k, m},
-            MatrixView<V>{c.data(), n, m});
 }
 
 }  // namespace mf::blas

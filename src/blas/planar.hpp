@@ -65,10 +65,10 @@ private:
 /// Read-only row-major matrix view over planar storage: one base pointer per
 /// limb plane plus (rows, cols, stride), where `stride` is the element
 /// distance between consecutive row starts within each plane (>= cols;
-/// defaults to cols). This is the matrix argument type of the planar GEMM
-/// engines (simd::gemm_tiled, blas::gemm_packed): shapes travel with the
-/// data, and a sub-block of a larger planar matrix is just a view with
-/// offset plane pointers and the parent's stride.
+/// defaults to cols). This is the matrix argument type of the planar GEMMs
+/// (planar::gemm, blas::gemm_packed): shapes travel with the data, and a
+/// sub-block of a larger planar matrix is just a view with offset plane
+/// pointers and the parent's stride.
 template <FloatingPoint T, int N>
 struct ConstMatrixView {
     const T* planes[N] = {};
@@ -221,34 +221,37 @@ void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
     });
 }
 
-/// C <- A B, all planar, ikj order: the inner j-loop is an elementwise
-/// fused multiply-add sweep over contiguous planes (vectorizes).
+/// C += A B, all planar views (A n x k, B k x m, C n x m), ikj order: the
+/// inner j-loop is an elementwise fused multiply-add sweep over contiguous
+/// plane rows (vectorizes). This is the sequential reference every GEMM
+/// engine is bit-identical to, and the packed engine's fallback when its
+/// panel scratch cannot be allocated.
 template <FloatingPoint T, int N>
-void gemm(const Vector<T, N>& a, const Vector<T, N>& b, Vector<T, N>& c,
-          std::size_t n, std::size_t k, std::size_t m) {
-    const T* bp[N];
-    T* cp[N];
-    for (int p = 0; p < N; ++p) {
-        bp[p] = b.plane(p);
-        cp[p] = c.plane(p);
-    }
+void gemm(ConstMatrixView<T, N> a, ConstMatrixView<T, N> b, MatrixView<T, N> c) {
     // Backend dispatch hoisted out of the loop nest: n*k short fma sweeps
     // would otherwise re-resolve the active backend on every call.
     simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const MultiFloat<T, N> aik = a.get(i * k + kk);
+        for (std::size_t i = 0; i < c.rows; ++i) {
+            for (std::size_t kk = 0; kk < a.cols; ++kk) {
+                const MultiFloat<T, N> aik = a.get(i, kk);
                 // c[i, :] += aik * b[kk, :]
                 const T* brow[N];
                 T* crow[N];
                 for (int p = 0; p < N; ++p) {
-                    brow[p] = bp[p] + kk * m;
-                    crow[p] = cp[p] + i * m;
+                    brow[p] = b.row(p, kk);
+                    crow[p] = c.row(p, i);
                 }
-                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, m);
+                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, c.cols);
             }
         }
     });
+}
+
+/// Positional form over whole contiguous Vectors: C (n x m) += A (n x k) B (k x m).
+template <FloatingPoint T, int N>
+void gemm(const Vector<T, N>& a, const Vector<T, N>& b, Vector<T, N>& c,
+          std::size_t n, std::size_t k, std::size_t m) {
+    gemm<T, N>(matrix_view(a, n, k), matrix_view(b, k, m), matrix_view(c, n, m));
 }
 
 }  // namespace mf::planar

@@ -11,10 +11,9 @@
 //
 //   blas::gemm(blas::view(a, n, k), blas::view(b, k, m), blas::view(c, n, m));
 //
-// Views are intentionally NOT ranges and have NO std::span constructor:
-// overload resolution must keep the deprecated span signatures (exact match
-// for existing span callers) strictly apart from the view signatures, with
-// no braced-initializer ambiguity in either direction.
+// Views are intentionally NOT ranges and have NO std::span constructor: a
+// matrix view's shape is always spelled out at construction (view(v, n, k)),
+// never inferred from a flat extent.
 //
 // Mutable views convert implicitly to const views, so explicit-template-arg
 // call sites (`blas::dot<V>(x, y)`) accept either. Deduced call sites pass

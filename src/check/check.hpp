@@ -12,7 +12,7 @@
 //   generators.hpp   structure-aware adversarial input generation
 //   oracle.hpp       BigFloat oracle glue + the enforced error-bound table
 //   conformance.hpp  per-op bound checking, slack histograms, counterexamples
-//   differ.hpp       scalar-vs-SIMD and sequential-vs-tiled bit differs
+//   differ.hpp       scalar-vs-SIMD and sequential-vs-packed-GEMM bit differs
 //   shrink.hpp       counterexample minimization
 //   corpus.hpp       replayable seed-corpus IO (tests/corpus/)
 //   report.hpp       CHECK_*.json error-bound telemetry

@@ -5,13 +5,11 @@
 // bit-exactness rationale, checked here over the same structure-aware corpus
 // the conformance runner fuzzes with).
 //
-// Three surfaces are diffed:
+// Four surfaces are diffed:
 //   * elementwise planar kernels (add_range / fma_range) dispatched per
 //     runtime backend vs. the width-1 scalar kernel;
 //   * the dot reduction, which additionally pins the historical
 //     eight-accumulator merge order for widths <= 8;
-//   * gemm_tiled vs. sequential planar::gemm under varying OpenMP thread
-//     counts and inside an enclosing parallel region (nesting guard);
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. sequential
 //     planar::gemm across every available backend, thread count, and
 //     threading substrate (OpenMP and the std::thread pool), including
@@ -19,6 +17,9 @@
 //   * the AoS front end of the same engine (blas::gemm and the AoS
 //     gemm_packed overload) on strided sub-views vs. planar::gemm, across
 //     the same backend x thread-cap x substrate sweep.
+// Both GEMM surfaces are also run from inside an enclosing OpenMP parallel
+// region (a "nested" record), where the engine must plan a single worker
+// instead of forking a nested team.
 //
 // Comparison is raw bit identity per limb, except that any-NaN == any-NaN:
 // lanes that produce NaN must agree on NaN-ness, not on payload bits.
@@ -34,7 +35,6 @@
 #include "../blas/kernels.hpp"
 #include "../blas/planar.hpp"
 #include "../simd/simd.hpp"
-#include "../simd/tiling.hpp"
 #include "generators.hpp"
 
 #if defined(_OPENMP)
@@ -45,11 +45,12 @@ namespace mf::check {
 
 /// One diffed (kernel, backend/schedule) combination.
 struct DiffRecord {
-    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_tiled" |
-                          ///< "gemm_packed" | "gemm_aos"
+    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_packed" |
+                          ///< "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< backend name, or "threads=K" / "nested" for gemm
+    std::string backend;  ///< backend name, "<backend>/threads=K/<substrate>"
+                          ///< or "nested" for gemm
     int width = 0;        ///< pack lanes of the backend under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -106,6 +107,45 @@ template <std::floating_point T, int N>
     }
     return bad;
 }
+
+#if defined(_OPENMP)
+/// Nested-region guard check. Each thread of an enclosing 2-thread OpenMP
+/// region calls gemm(id) -- one engine call into its own C, id in {0, 1} --
+/// and inside that region engine::planned_workers must plan one worker, so
+/// the call runs serially instead of forking a nested team. `rec` gains
+/// mismatches(id) over `per_c` elements for every C computed, plus one
+/// mismatch per thread that would have planned more than one worker for
+/// `rows` row blocks. A runtime that grants no real team relabels the
+/// record "nested(no-omp)".
+template <typename Gemm, typename Mismatches>
+[[nodiscard]] DiffRecord diff_nested(DiffRecord rec, std::size_t rows,
+                                     std::uint64_t per_c, Gemm&& gemm,
+                                     Mismatches&& mismatches) {
+    bool ran[2] = {false, false};
+    bool nested = false;
+#pragma omp parallel num_threads(2)
+    {
+        const int id = omp_get_thread_num();
+        const bool inside = blas::engine::in_parallel();
+        const unsigned planned = blas::engine::planned_workers(
+            rows, blas::engine::ThreadMode::automatic, 2);
+        gemm(id);
+#pragma omp critical
+        {
+            nested = nested || inside;
+            if (inside && planned != 1) ++rec.mismatches;
+            ran[id] = true;
+        }
+    }
+    for (int id = 0; id < 2; ++id) {
+        if (!ran[id]) continue;
+        rec.elements += per_c;
+        rec.mismatches += mismatches(id);
+    }
+    if (!nested) rec.backend = "nested(no-omp)";
+    return rec;
+}
+#endif
 
 }  // namespace detail
 
@@ -192,91 +232,12 @@ template <std::floating_point T, int N>
     return out;
 }
 
-/// Diff gemm_tiled against sequential planar::gemm under each requested
-/// OpenMP thread count, plus one run nested inside an enclosing parallel
-/// region (which must fall back to sequential execution, not oversubscribe).
-template <std::floating_point T, int N>
-[[nodiscard]] std::vector<DiffRecord> diff_gemm_threads(
-    std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
-    const std::vector<int>& thread_counts, const GenConfig& cfg = {}) {
-    const char* type = sizeof(T) == 8 ? "double" : "float";
-    std::mt19937_64 rng(seed);
-    planar::Vector<T, N> a, b;
-    detail::fill_vectors(rng, n * k, cfg, a);
-    detail::fill_vectors(rng, k * m, cfg, b);
-    planar::Vector<T, N> want(n * m);
-    planar::gemm(a, b, want, n, k, m);
-
-    std::vector<DiffRecord> out;
-    const simd::TileShape tile{4, 8, 5};  // ragged tiles: worst case for order bugs
-
-#if defined(_OPENMP)
-    const int saved_threads = omp_get_max_threads();
-#endif
-    for (int t : thread_counts) {
-#if defined(_OPENMP)
-        omp_set_num_threads(t);
-#else
-        if (t != 1) continue;
-#endif
-        planar::Vector<T, N> c(n * m);
-        simd::gemm_tiled(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                         planar::matrix_view(c, n, m), tile);
-        DiffRecord rec{"gemm_tiled", type, N, "threads=" + std::to_string(t),
-                       simd::active_width<T>(), n * m,
-                       detail::count_mismatches(c, want, n * m)};
-        out.push_back(std::move(rec));
-        // The packed engine under the same thread budget (its own worker
-        // partition, not OpenMP's loop schedule -- max_threads caps it).
-        planar::Vector<T, N> cp(n * m);
-        blas::GemmConfig pcfg;
-        pcfg.max_threads = static_cast<unsigned>(t);
-        blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                          planar::matrix_view(cp, n, m), pcfg);
-        DiffRecord prec{"gemm_packed", type, N, "threads=" + std::to_string(t),
-                        simd::active_width<T>(), n * m,
-                        detail::count_mismatches(cp, want, n * m)};
-        out.push_back(std::move(prec));
-    }
-#if defined(_OPENMP)
-    omp_set_num_threads(saved_threads);
-    {
-        // Nested: every thread of an enclosing region issues its own GEMM;
-        // the omp_in_parallel() guard must serialize each one.
-        planar::Vector<T, N> c0(n * m), c1(n * m);
-        planar::Vector<T, N>* cs[2] = {&c0, &c1};
-        bool done[2] = {false, false};
-        bool was_parallel = false;
-#pragma omp parallel num_threads(2)
-        {
-            const int id = omp_get_thread_num();
-#pragma omp critical
-            was_parallel = was_parallel || omp_in_parallel() != 0;
-            if (id < 2) {
-                simd::gemm_tiled(planar::matrix_view(a, n, k),
-                                 planar::matrix_view(b, k, m),
-                                 planar::matrix_view(*cs[id], n, m), tile);
-                done[id] = true;
-            }
-        }
-        DiffRecord rec{"gemm_tiled", type, N, "nested", simd::active_width<T>(), 0, 0};
-        for (int id = 0; id < 2; ++id) {
-            if (!done[id]) continue;
-            rec.elements += n * m;
-            rec.mismatches += detail::count_mismatches(*cs[id], want, n * m);
-        }
-        if (!was_parallel) rec.backend = "nested(no-omp)";
-        out.push_back(std::move(rec));
-    }
-#endif
-    return out;
-}
-
 /// Diff gemm_packed against sequential planar::gemm across every available
 /// backend x worker count x threading substrate (OpenMP-automatic and the
 /// std::thread pool). `blocks` pins the cache blocks -- pass deliberately
 /// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
-/// micro-tiles; the default auto-selects per backend.
+/// micro-tiles; the default auto-selects per backend. Under OpenMP a final
+/// "nested" record runs the same call from inside an enclosing region.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -321,6 +282,22 @@ template <std::floating_point T, int N>
             }
         }
     }
+#if defined(_OPENMP)
+    // Nested, on the widest backend, under a 2-worker cap it would use alone.
+    planar::Vector<T, N> cn[2] = {planar::Vector<T, N>(n * m),
+                                  planar::Vector<T, N>(n * m)};
+    blas::GemmConfig ncfg;
+    ncfg.blocks = blocks;
+    ncfg.max_threads = 2;
+    out.push_back(detail::diff_nested(
+        DiffRecord{"gemm_packed", type, N, "nested", simd::active_width<T>(), 0, 0}, n,
+        n * m,
+        [&](int id) {
+            blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
+                              planar::matrix_view(cn[id], n, m), ncfg);
+        },
+        [&](int id) { return detail::count_mismatches(cn[id], want, n * m); }));
+#endif
     return out;
 }
 
@@ -329,8 +306,9 @@ template <std::floating_point T, int N>
 /// sub-views (row stride cols + 3) whose padding holds NaN sentinels, and C
 /// starts as garbage: `automatic` runs blas::gemm (C <- A B, worker cap set
 /// through the OpenMP runtime), `pool` runs the AoS gemm_packed overload on
-/// a zeroed C (C += A B) with the cap in GemmConfig. A record's mismatches
-/// count wrong C elements plus clobbered padding elements.
+/// a zeroed C (C += A B) with the cap in GemmConfig; the nested record runs
+/// blas::gemm. A record's mismatches count wrong C elements plus clobbered
+/// padding elements.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_aos(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -422,6 +400,17 @@ template <std::floating_point T, int N>
                                      simd::backend_width<T>(bk), n * m, mismatches(cp)});
         }
     }
+#if defined(_OPENMP)
+    // Nested, on the widest backend: blas::gemm from a user's own region.
+    std::vector<V> cn[2] = {fresh_c(V(T(7))), fresh_c(V(T(7)))};
+    out.push_back(detail::diff_nested(
+        DiffRecord{"gemm_aos", type, N, "nested", simd::active_width<T>(), 0, 0}, n,
+        n * m,
+        [&](int id) {
+            blas::gemm<V>(av, bv, blas::MatrixView<V>{cn[id].data(), n, m, m + pad});
+        },
+        [&](int id) { return mismatches(cn[id]); }));
+#endif
     return out;
 }
 

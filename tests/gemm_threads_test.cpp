@@ -1,13 +1,12 @@
-// Thread-count invariance of the tiled and packed GEMMs (satellite of the
-// mf::check conformance layer): gemm_tiled and gemm_packed must be
-// bit-identical to the sequential planar GEMM no matter how many threads
-// execute them -- both partition whole output blocks, never a dot product,
-// so no reduction is ever reassociated -- and must serialize themselves when
-// called from inside an enclosing parallel region instead of
-// oversubscribing. gemm_packed is additionally swept across every available
-// SIMD backend and both threading substrates (OpenMP and the std::thread
-// fallback pool). The AoS front end (blas::gemm) gets the same sweep on
-// strided sub-views.
+// Thread-count invariance of the packed GEMM engine (satellite of the
+// mf::check conformance layer): gemm_packed must be bit-identical to the
+// sequential planar GEMM no matter how many threads execute it -- workers
+// own whole C row blocks, never a dot product, so no reduction is ever
+// reassociated -- and must serialize itself when called from inside an
+// enclosing parallel region instead of oversubscribing (the "nested"
+// record). It is swept across every available SIMD backend and both
+// threading substrates (OpenMP and the std::thread fallback pool). The AoS
+// front end (blas::gemm) gets the same sweep on strided sub-views.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,10 @@ namespace {
 using namespace mf;
 using namespace mf::check;
 
-void expect_all_clean(const std::vector<DiffRecord>& diffs) {
+// diff_gemm_packed / diff_gemm_aos sweep backends x thread counts x
+// {OpenMP, pool}, plus the nested record under OpenMP; every record must be
+// clean (0 mismatches against sequential planar::gemm).
+void expect_packed_clean(const std::vector<DiffRecord>& diffs) {
     ASSERT_FALSE(diffs.empty());
     bool nested_seen = false;
     for (const DiffRecord& d : diffs) {
@@ -31,37 +33,6 @@ void expect_all_clean(const std::vector<DiffRecord>& diffs) {
 #else
     (void)nested_seen;
 #endif
-}
-
-TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble2) {
-    expect_all_clean(diff_gemm_threads<double, 2>(21, 23, 17, 19, {1, 2, 7, 16}));
-}
-
-TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble4) {
-    expect_all_clean(diff_gemm_threads<double, 4>(22, 13, 11, 9, {1, 2, 7, 16}));
-}
-
-TEST(GemmThreads, BitIdenticalAcrossThreadCountsFloat3) {
-    expect_all_clean(diff_gemm_threads<float, 3>(23, 15, 9, 14, {1, 2, 7, 16}));
-}
-
-// Ragged problem sizes that don't divide the tile shape, under an
-// adversarial thread count larger than the tile grid.
-TEST(GemmThreads, RaggedTilesOversubscribed) {
-    expect_all_clean(diff_gemm_threads<double, 3>(24, 5, 3, 7, {16}));
-    expect_all_clean(diff_gemm_threads<double, 2>(25, 1, 1, 1, {7}));
-}
-
-// --- packed engine -------------------------------------------------------
-// diff_gemm_packed sweeps backends x thread counts x {OpenMP, pool}; every
-// record must be clean (0 mismatches against sequential planar::gemm).
-
-void expect_packed_clean(const std::vector<DiffRecord>& diffs) {
-    ASSERT_FALSE(diffs.empty());
-    for (const DiffRecord& d : diffs) {
-        EXPECT_EQ(d.mismatches, 0u)
-            << d.kernel << " " << d.type << " N=" << d.limbs << " [" << d.backend << "]";
-    }
 }
 
 // Prime dims (none divides MR, NR, or any cache block) with auto blocks.
@@ -81,6 +52,26 @@ TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsFloat2) {
     expect_packed_clean(diff_gemm_packed<float, 2>(34, 15, 9, 14, {1, 2, 8}));
 }
 
+TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsFloat3) {
+    expect_packed_clean(diff_gemm_packed<float, 3>(23, 15, 9, 14, {1, 2, 7, 16}));
+}
+
+// Thread counts that divide no dimension (7) or exceed the row count (16).
+TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble2) {
+    expect_packed_clean(diff_gemm_packed<double, 2>(21, 23, 17, 19, {1, 2, 7, 16}));
+}
+
+TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble4) {
+    expect_packed_clean(diff_gemm_packed<double, 4>(22, 13, 11, 9, {1, 2, 7, 16}));
+}
+
+// Ragged problem sizes, down to a single element, under thread caps larger
+// than the row count.
+TEST(GemmPacked, RaggedShapesOversubscribed) {
+    expect_packed_clean(diff_gemm_packed<double, 3>(24, 5, 3, 7, {16}));
+    expect_packed_clean(diff_gemm_packed<double, 2>(25, 1, 1, 1, {7}));
+}
+
 // Tiny pinned cache blocks: every macro-panel ends in mr/nr remainder
 // micro-tiles and the k loop spans several kc blocks, so the packed-edge
 // and partial-tile paths dominate.
@@ -95,7 +86,8 @@ TEST(GemmPacked, TinyBlocksForceEdgeTiles) {
 
 // The shapes above all fall below the serial floor. These exceed it: the
 // threaded partition (with an auto mc too large to share, the per-worker mc
-// split) must be planned, and must stay bit-identical.
+// split) must be planned, and must stay bit-identical. Their nested records
+// are the calls that would fork a team if the in-region guard were missing.
 template <std::floating_point T, int N>
 unsigned planned_gemm_workers(std::size_t n, std::size_t k, std::size_t m,
                               unsigned cap) {
@@ -136,13 +128,8 @@ template <std::floating_point T, int N>
 void expect_aos_clean(std::uint64_t seed) {
     for (std::size_t n : kAosRows) {
         const std::size_t k = n == 97 ? 31 : n;
-        const std::vector<DiffRecord> diffs =
-            diff_gemm_aos<T, N>(seed + n, n, k, n + 11, {1, 2, 8});
-        ASSERT_FALSE(diffs.empty());
-        for (const DiffRecord& d : diffs) {
-            EXPECT_EQ(d.mismatches, 0u) << d.kernel << " " << d.type << " N=" << d.limbs
-                                        << " n=" << n << " [" << d.backend << "]";
-        }
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expect_packed_clean(diff_gemm_aos<T, N>(seed + n, n, k, n + 11, {1, 2, 8}));
     }
     EXPECT_GE((planned_gemm_workers<T, N>(48, 48, 48, 2)), 2u);
 }

@@ -240,34 +240,49 @@ TYPED_TEST(SimdKernelTyped, DispatchedAxpyBitExactOnEveryBackend) {
     }
 }
 
+// The packed engine's cache blocks are its tiles: ragged blocks, unit
+// blocks, and blocks larger than the problem must all reproduce the
+// untiled ikj result exactly, on every backend (the only engine coverage at
+// float N = 4).
 TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
     std::mt19937_64 rng(25);
-    const std::size_t n = 13;
-    const std::size_t k = 11;
-    const std::size_t m = 17;
-    planar::Vector<T, N> a, b;
-    std::vector<TypeParam> aa, ba;
-    fill(rng, n * k, a, aa);
-    fill(rng, k * m, b, ba);
-    planar::Vector<T, N> want(n * m);
-    planar::gemm(a, b, want, n, k, m);
-    // Ragged tiles, degenerate tiles, and tiles larger than the problem must
-    // all reproduce the untiled ikj result exactly.
-    for (const simd::TileShape tile :
-         {simd::TileShape{4, 5, 3}, simd::TileShape{1, 1, 1},
-          simd::TileShape{64, 512, 64}, simd::TileShape{13, 17, 11}}) {
-        planar::Vector<T, N> c(n * m);
-        simd::gemm_tiled(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                         planar::matrix_view(c, n, m), tile);
-        for (std::size_t i = 0; i < n * m; ++i) {
-            const TypeParam got = c.get(i);
-            const TypeParam ref = want.get(i);
-            for (int p = 0; p < N; ++p) {
-                ASSERT_EQ(bits(got.limb[p]), bits(ref.limb[p]))
-                    << "tile{" << tile.ti << "," << tile.tj << "," << tile.tk
-                    << "} i=" << i;
+    struct Shape {
+        std::size_t n, k, m;
+    };
+    BackendGuard guard;
+    for (const Shape sh : {Shape{13, 11, 17}, Shape{2, 2, 2}}) {
+        planar::Vector<T, N> a, b;
+        std::vector<TypeParam> aa, ba;
+        fill(rng, sh.n * sh.k, a, aa);
+        fill(rng, sh.k * sh.m, b, ba);
+        planar::Vector<T, N> want(sh.n * sh.m);
+        planar::gemm(a, b, want, sh.n, sh.k, sh.m);
+        for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
+                                 simd::Backend::avx2, simd::Backend::avx512,
+                                 simd::Backend::neon}) {
+            if (!simd::set_backend(bk)) continue;
+            for (const blas::BlockShape blocks :
+                 {blas::BlockShape{4, 8, 3}, blas::BlockShape{1, 1, 1},
+                  blas::BlockShape{64, 64, 512}, blas::BlockShape{13, 11, 17},
+                  blas::BlockShape{1024, 1024, 1024}}) {
+                planar::Vector<T, N> c(sh.n * sh.m);
+                blas::GemmConfig cfg;
+                cfg.blocks = blocks;
+                blas::gemm_packed(planar::matrix_view(a, sh.n, sh.k),
+                                  planar::matrix_view(b, sh.k, sh.m),
+                                  planar::matrix_view(c, sh.n, sh.m), cfg);
+                for (std::size_t i = 0; i < sh.n * sh.m; ++i) {
+                    const TypeParam got = c.get(i);
+                    const TypeParam ref = want.get(i);
+                    for (int p = 0; p < N; ++p) {
+                        ASSERT_EQ(bits(got.limb[p]), bits(ref.limb[p]))
+                            << simd::backend_name(bk) << " " << sh.n << "x" << sh.k
+                            << "x" << sh.m << " blocks{" << blocks.mc << ","
+                            << blocks.kc << "," << blocks.nc << "} i=" << i;
+                    }
+                }
             }
         }
     }

@@ -20,7 +20,6 @@
 
 #include "blas/kernels.hpp"
 #include "blas/planar.hpp"
-#include "simd/tiling.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -201,22 +200,33 @@ TEST(TelemetryWiring, GemmPopulatesDispatchKernelOpsAndTileCounters) {
         a.set(i, mf::MultiFloat<double, 4>(1.0 + double(i) * 0x1p-20));
         b.set(i, mf::MultiFloat<double, 4>(2.0 - double(i) * 0x1p-21));
     }
-    mf::simd::gemm_tiled(mf::planar::matrix_view(a, n, n),
-                         mf::planar::matrix_view(b, n, n),
-                         mf::planar::matrix_view(c, n, n));
+    mf::blas::gemm_packed(mf::planar::matrix_view(a, n, n),
+                          mf::planar::matrix_view(b, n, n),
+                          mf::planar::matrix_view(c, n, n));
     reg().set_trace_enabled(false);
 
     const Snapshot snap = reg().snapshot();
-    // One dispatch resolve (hoisted out of the tile loops), one row tile
-    // (n = 8 < the 32-row tile height), and n^3 fused multiply-add kernel ops.
+    // The active backend's micro-tile grid over C, read after the snapshot
+    // (resolving the width is itself a dispatch).
+    std::size_t tiles = 0;
+    mf::simd::with_active_width<double>([&](auto w) {
+        using MK = mf::blas::engine::MicroKernel<double, 4, w()>;
+        tiles = ((n + MK::MR - 1) / MK::MR) * ((n + MK::NR - 1) / MK::NR);
+    });
+    // One dispatch resolve (hoisted out of the engine's loops), one
+    // micro-kernel call per MR x NR tile, and n^3 fused multiply-add kernel
+    // ops. The call is below the serial floor and n = 8 fits one
+    // mc x kc x nc block, so it is exactly one macro-panel.
     EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_dispatch_total"), 1u);
-    const CounterSnap* tiles = find_counter(snap, "mf_gemm_tiles_total");
-    ASSERT_NE(tiles, nullptr);
-    EXPECT_EQ(tiles->value, 1u);
+    const CounterSnap* micro = find_counter(snap, "mf_gemm_microkernel_total");
+    ASSERT_NE(micro, nullptr);
+    EXPECT_EQ(micro->value, tiles);
     EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_kernel_ops_total"), n * n * n);
-    // The traced row tile must appear as a span and as a latency observation.
-    EXPECT_EQ(snap.spans.size(), 1u);
-    const HistogramSnap* lat = find_hist(snap, "mf_gemm_tile_ns");
+    // The traced macro-panel must appear as a span and as a latency
+    // observation.
+    ASSERT_EQ(snap.spans.size(), 1u);
+    EXPECT_EQ(snap.spans[0].name, "gemm_macro_panel");
+    const HistogramSnap* lat = find_hist(snap, "mf_gemm_macro_panel_ns");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 1u);
 

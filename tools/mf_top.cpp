@@ -3,12 +3,12 @@
 // Two modes:
 //
 //   mf_top [--n SIZE] [--reps R] [--metrics PATH] [--trace PATH]
-//     Run a traced double x 4 tiled GEMM (the flagship multicore x SIMD
-//     workload), then print a ranked counter table, write the Prometheus
-//     exposition (--metrics, "-" = stdout, default) and the chrome://tracing
-//     span JSON (--trace, default mf_top_trace.json). Load the trace into
-//     chrome://tracing or https://ui.perfetto.dev to see the per-thread
-//     row-tile timeline.
+//     Run a traced double x 4 packed GEMM (blas::gemm_packed, the flagship
+//     multicore x SIMD workload), then print a ranked counter table, write
+//     the Prometheus exposition (--metrics, "-" = stdout, default) and the
+//     chrome://tracing span JSON (--trace, default mf_top_trace.json). Load
+//     the trace into chrome://tracing or https://ui.perfetto.dev to see the
+//     per-thread macro-panel timeline.
 //
 //   mf_top --from FILE
 //     No workload: parse an exposition file previously dumped by another
@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "blas/engine/gemm_packed.hpp"
 #include "blas/planar.hpp"
 #include "simd/backend.hpp"
-#include "simd/tiling.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
         b.set(i, MultiFloat<double, 4>(next()));
     }
     for (int r = 0; r < reps; ++r) {
-        simd::gemm_tiled(planar::matrix_view(a, n, n), planar::matrix_view(b, n, n),
-                         planar::matrix_view(c, n, n));
+        blas::gemm_packed(planar::matrix_view(a, n, n), planar::matrix_view(b, n, n),
+                          planar::matrix_view(c, n, n));
     }
     // Fold the result into a checksum so the whole computation is observable
     // (and undead-code-eliminable).
