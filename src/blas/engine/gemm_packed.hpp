@@ -28,9 +28,9 @@
 // planar::gemm's order, each update being the identical add(mul(.,.),.)
 // FPAN sequence; macro-panels partition whole C row blocks per worker
 // (owner-computes, threading.hpp), so no element is touched by two threads.
-// Result: bit-identical to sequential planar::gemm for every backend, thread
-// count, and threading substrate -- enforced by check::diff_gemm_packed and
-// the fuzz-smoke conformance tier.
+// Result: bit-identical to sequential planar::gemm for every backend and
+// thread count -- enforced by check::diff_gemm_packed and the fuzz-smoke
+// conformance tier.
 
 #include <algorithm>
 #include <cstddef>
@@ -59,8 +59,7 @@ struct BlockShape {
 /// Execution knobs for gemm_packed.
 struct GemmConfig {
     BlockShape blocks{};  ///< 0-fields auto-selected per backend
-    engine::ThreadMode threads = engine::ThreadMode::automatic;
-    unsigned max_threads = 0;  ///< worker cap; 0 = runtime default
+    unsigned max_threads = 0;  ///< worker cap; 0 = runtime default, 1 = serial
 };
 
 namespace engine {
@@ -123,7 +122,6 @@ template <std::floating_point T, int N, int W>
     constexpr auto mr = static_cast<std::size_t>(MK::MR);
     GemmPlan plan;
     plan.blocks = auto_blocks<T, N>(MK::MR, MK::NR, cfg.blocks);
-    plan.threads = cfg.threads;
     if (cfg.blocks.mc == 0) {
         const double work = static_cast<double>(n) * static_cast<double>(m) *
                             static_cast<double>(k) * N * N;

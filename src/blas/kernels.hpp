@@ -21,11 +21,13 @@
 // (engine/gemm_packed.hpp, DESIGN.md §11), which packs straight from the AoS
 // views and plans its own threads: serial below a measured work floor, one
 // row block per worker above it. GEMV keeps the paper's ij loop order. The
-// L1/L2 kernels parallelize their outer loop with OpenMP only above a size
-// threshold; below it they call the pack kernel directly, with no parallel
-// region. Every parallel region is guarded by engine::in_parallel() so that
-// kernels called from inside an existing parallel region (e.g. a user's own
-// omp loop) run serially instead of oversubscribing with nested teams.
+// L1/L2 kernels go parallel only above a size threshold; below it they run
+// the loop (or call the pack kernel) directly, with no parallel region.
+// Above it they hand contiguous element chunks or rows to
+// engine::parallel_blocks_slots, the one parallel region of mf::blas, which
+// also runs serially when called from inside an existing parallel region.
+// DOT merges one partial per worker in worker order, so its result is
+// deterministic for a given worker count.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
@@ -36,16 +38,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <vector>
 
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
 #include "../simd/dispatch.hpp"
 #include "engine/gemm_packed.hpp"
 #include "views.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace mf::blas {
 
@@ -63,6 +62,37 @@ inline constexpr bool is_multilimb_v = false;
 template <typename T, int N>
 inline constexpr bool is_multilimb_v<MultiFloat<T, N>> = std::floating_point<T> && N >= 2;
 
+/// Run body(lo, hi) over [0, n): as one direct call when n <= serial_max,
+/// otherwise over `grain`-element blocks statically partitioned across the
+/// engine's workers. Every index lands in exactly one call.
+template <typename F>
+void for_ranges(std::size_t n, std::size_t serial_max, std::size_t grain, F&& body) {
+    if (n <= serial_max) {
+        body(std::size_t{0}, n);
+        return;
+    }
+    engine::parallel_blocks_slots((n + grain - 1) / grain,
+                                  [&](std::size_t blk, unsigned) {
+                                      const std::size_t lo = blk * grain;
+                                      body(lo, std::min(lo + grain, n));
+                                  });
+}
+
+/// V{} plus part(lo, hi) over each worker's share of [0, n), in worker
+/// order: a deterministic reduction for a given worker count, and at one
+/// worker exactly V{} + part(0, n), the serial path's result.
+template <typename V, typename F>
+[[nodiscard]] V ordered_sum(std::size_t n, F&& part) {
+    const unsigned nw = engine::planned_workers(n);
+    std::vector<V> partial(nw);
+    engine::parallel_blocks_slots(nw, [&](std::size_t w, unsigned) {
+        partial[w] = part(n * w / nw, n * (w + 1) / nw);
+    });
+    V acc{};
+    for (const V& p : partial) acc += p;
+    return acc;
+}
+
 }  // namespace detail
 
 /// y <- alpha * x + y
@@ -70,29 +100,14 @@ template <typename V>
 void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
     MF_GUARD_SENTINEL("blas.axpy");
     MF_BLAS_REQUIRE(x.size == y.size, "blas.axpy", "x.size == y.size");
-    const std::size_t n = x.size;
-    if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
-        if (n <= 4096 || engine::in_parallel()) {
-            simd::axpy_aos<T, N>(alpha, x.data, y.data, n);
-            return;
+    detail::for_ranges(x.size, 4096, 2048, [&](std::size_t lo, std::size_t hi) {
+        if constexpr (detail::is_multifloat_v<V>) {
+            simd::axpy_aos<typename V::value_type, V::num_limbs>(alpha, x.data + lo,
+                                                                 y.data + lo, hi - lo);
+        } else {
+            for (std::size_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
         }
-        constexpr std::size_t chunk = 2048;
-        const std::size_t nchunks = (n + chunk - 1) / chunk;
-#pragma omp parallel for schedule(static)
-        for (std::size_t c = 0; c < nchunks; ++c) {
-            const std::size_t lo = c * chunk;
-            const std::size_t hi = (lo + chunk < n) ? lo + chunk : n;
-            simd::axpy_aos<T, N>(alpha, x.data + lo, y.data + lo, hi - lo);
-        }
-    } else {
-#pragma omp parallel for schedule(static) \
-    if (n > 4096 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            y[i] += alpha * x[i];
-        }
-    }
+    });
 }
 
 /// <x, y>
@@ -108,45 +123,34 @@ template <typename V>
     MF_BLAS_REQUIRE(x.size == y.size, "blas.dot", "x.size == y.size");
     const std::size_t n = x.size;
     if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
+        const auto part = [&](std::size_t lo, std::size_t hi) {
+            return simd::dot_aos<typename V::value_type, V::num_limbs>(x.data + lo,
+                                                                       y.data + lo, hi - lo);
+        };
+        if (n > 4096) return detail::ordered_sum<V>(n, part);
         V acc{};
-        if (n <= 4096 || engine::in_parallel()) {
-            acc += simd::dot_aos<T, N>(x.data, y.data, n);
-            return acc;
-        }
-#pragma omp parallel
-        {
-#if defined(_OPENMP)
-            const std::size_t nt = static_cast<std::size_t>(omp_get_num_threads());
-            const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
-#else
-            const std::size_t nt = 1;
-            const std::size_t tid = 0;
-#endif
-            const std::size_t lo = n * tid / nt;
-            const std::size_t hi = n * (tid + 1) / nt;
-            const V local = simd::dot_aos<T, N>(x.data + lo, y.data + lo, hi - lo);
-#pragma omp critical
-            acc += local;
-        }
+        acc += part(0, n);
         return acc;
     } else {
+        // Blocks of K consecutive elements; the tail after the last whole
+        // block is added last, on the calling thread.
         constexpr std::size_t K = 8;
-        V acc{};
-#pragma omp parallel if (n > 4096 && !engine::in_parallel())
-        {
-            V part[K]{};
-#pragma omp for schedule(static) nowait
-            for (std::size_t blk = 0; blk < n / K; ++blk) {
+        const auto part = [&](std::size_t lo, std::size_t hi) {
+            V acc[K]{};
+            for (std::size_t blk = lo; blk < hi; ++blk) {
                 for (std::size_t k = 0; k < K; ++k) {
-                    part[k] += x[blk * K + k] * y[blk * K + k];
+                    acc[k] += x[blk * K + k] * y[blk * K + k];
                 }
             }
             V local{};
-            for (std::size_t k = 0; k < K; ++k) local += part[k];
-#pragma omp critical
-            acc += local;
+            for (std::size_t k = 0; k < K; ++k) local += acc[k];
+            return local;
+        };
+        V acc{};
+        if (n > 4096) {
+            acc = detail::ordered_sum<V>(n / K, part);
+        } else {
+            acc += part(0, n / K);
         }
         for (std::size_t i = n - n % K; i < n; ++i) {
             acc += x[i] * y[i];
@@ -163,51 +167,39 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     MF_BLAS_REQUIRE(a.cols == x.size, "blas.gemv", "a.cols == x.size");
     MF_BLAS_REQUIRE(a.rows == y.size, "blas.gemv", "a.rows == y.size");
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.gemv", "a.stride >= a.cols");
-    const std::size_t n = a.rows;
     const std::size_t m = a.cols;
-    if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
-        if (n <= 64 || engine::in_parallel()) {
-            for (std::size_t i = 0; i < n; ++i) {
-                y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
-            }
-            return;
-        }
-#pragma omp parallel for schedule(static)
-        for (std::size_t i = 0; i < n; ++i) {
-            y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
-        }
-    } else {
-        constexpr std::size_t K = 4;
-#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            const V* arow = a.row(i);
-            V part[K]{};
-            for (std::size_t blk = 0; blk < m / K; ++blk) {
-                for (std::size_t k = 0; k < K; ++k) {
-                    part[k] += arow[blk * K + k] * x[blk * K + k];
+    detail::for_ranges(a.rows, 64, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            if constexpr (detail::is_multifloat_v<V>) {
+                y[i] = simd::dot_aos<typename V::value_type, V::num_limbs>(a.row(i),
+                                                                           x.data, m);
+            } else {
+                constexpr std::size_t K = 4;
+                const V* arow = a.row(i);
+                V part[K]{};
+                for (std::size_t blk = 0; blk < m / K; ++blk) {
+                    for (std::size_t k = 0; k < K; ++k) {
+                        part[k] += arow[blk * K + k] * x[blk * K + k];
+                    }
                 }
+                V acc{};
+                for (std::size_t k = 0; k < K; ++k) acc += part[k];
+                for (std::size_t j = m - m % K; j < m; ++j) {
+                    acc += arow[j] * x[j];
+                }
+                y[i] = acc;
             }
-            V acc{};
-            for (std::size_t k = 0; k < K; ++k) acc += part[k];
-            for (std::size_t j = m - m % K; j < m; ++j) {
-                acc += arow[j] * x[j];
-            }
-            y[i] = acc;
         }
-    }
+    });
 }
 
 /// x <- alpha * x
 template <typename V>
 void scal(const V& alpha, VectorView<V> x) {
     MF_GUARD_SENTINEL("blas.scal");
-    const std::size_t n = x.size;
-#pragma omp parallel for schedule(static) if (n > 4096 && !engine::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] *= alpha;
-    }
+    detail::for_ranges(x.size, 4096, 2048, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) x[i] *= alpha;
+    });
 }
 
 /// sum_i |x_i|  (abs is found by ADL for expansions, std::abs for scalars)
@@ -247,22 +239,21 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     MF_BLAS_REQUIRE(a.rows == x.size, "blas.ger", "a.rows == x.size");
     MF_BLAS_REQUIRE(a.cols == y.size, "blas.ger", "a.cols == y.size");
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.ger", "a.stride >= a.cols");
-    const std::size_t n = x.size;
     const std::size_t m = y.size;
-#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        const V ax = alpha * x[i];
-        if constexpr (detail::is_multifloat_v<V>) {
-            using T = typename V::value_type;
-            constexpr int N = V::num_limbs;
-            simd::axpy_aos<T, N>(ax, y.data, a.row(i), m);
-        } else {
-            V* arow = a.row(i);
-            for (std::size_t j = 0; j < m; ++j) {
-                arow[j] += ax * y[j];
+    detail::for_ranges(x.size, 64, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            const V ax = alpha * x[i];
+            if constexpr (detail::is_multifloat_v<V>) {
+                simd::axpy_aos<typename V::value_type, V::num_limbs>(ax, y.data,
+                                                                     a.row(i), m);
+            } else {
+                V* arow = a.row(i);
+                for (std::size_t j = 0; j < m; ++j) {
+                    arow[j] += ax * y[j];
+                }
             }
         }
-    }
+    });
 }
 
 /// C <- A B  (row-major; C is n x m, A is n x k, B is k x m). MultiFloat
@@ -285,19 +276,20 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
         for (std::size_t i = 0; i < n; ++i) std::fill_n(c.row(i), m, V{});
         engine::detail::gemm<typename V::value_type, V::num_limbs>(a, b, c, {});
     } else {
-#pragma omp parallel for schedule(static) if (n > 16 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            V* crow = c.row(i);
-            const V* arow = a.row(i);
-            for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const V aik = arow[kk];
-                const V* brow = b.row(kk);
-                for (std::size_t j = 0; j < m; ++j) {
-                    crow[j] += aik * brow[j];
+        detail::for_ranges(n, 16, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                V* crow = c.row(i);
+                const V* arow = a.row(i);
+                for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
+                for (std::size_t kk = 0; kk < k; ++kk) {
+                    const V aik = arow[kk];
+                    const V* brow = b.row(kk);
+                    for (std::size_t j = 0; j < m; ++j) {
+                        crow[j] += aik * brow[j];
+                    }
                 }
             }
-        }
+        });
     }
 }
 

@@ -11,12 +11,11 @@
 //   * the dot reduction, which additionally pins the historical
 //     eight-accumulator merge order for widths <= 8;
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. sequential
-//     planar::gemm across every available backend, thread count, and
-//     threading substrate (OpenMP and the std::thread pool), including
-//     deliberately tiny cache blocks so pack edges are exercised;
+//     planar::gemm across every available backend and thread count,
+//     including deliberately tiny cache blocks so pack edges are exercised;
 //   * the AoS front end of the same engine (blas::gemm and the AoS
 //     gemm_packed overload) on strided sub-views vs. planar::gemm, across
-//     the same backend x thread-cap x substrate sweep.
+//     the same backend x thread-cap sweep.
 // Both GEMM surfaces are also run from inside an enclosing OpenMP parallel
 // region (a "nested" record), where the engine must plan a single worker
 // instead of forking a nested team.
@@ -49,8 +48,9 @@ struct DiffRecord {
                           ///< "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< backend name, "<backend>/threads=K/<substrate>"
-                          ///< or "nested" for gemm
+    std::string backend;  ///< backend name; for gemm "<backend>/threads=K"
+                          ///< (gemm_aos: + "/gemm" or "/gemm_packed") or
+                          ///< "nested"
     int width = 0;        ///< pack lanes of the backend under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -233,8 +233,7 @@ template <std::floating_point T, int N>
 }
 
 /// Diff gemm_packed against sequential planar::gemm across every available
-/// backend x worker count x threading substrate (OpenMP-automatic and the
-/// std::thread pool). `blocks` pins the cache blocks -- pass deliberately
+/// backend x worker count. `blocks` pins the cache blocks -- pass deliberately
 /// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
 /// micro-tiles; the default auto-selects per backend. Under OpenMP a final
 /// "nested" record runs the same call from inside an enclosing region.
@@ -259,27 +258,16 @@ template <std::floating_point T, int N>
         if (!simd::backend_available(bk)) continue;
         simd::set_backend(bk);
         for (int t : thread_counts) {
-            for (blas::engine::ThreadMode mode :
-                 {blas::engine::ThreadMode::automatic,
-                  blas::engine::ThreadMode::pool}) {
-                planar::Vector<T, N> c(n * m);
-                blas::GemmConfig pcfg;
-                pcfg.blocks = blocks;
-                pcfg.threads = mode;
-                pcfg.max_threads = static_cast<unsigned>(t);
-                blas::gemm_packed(planar::matrix_view(a, n, k),
-                                  planar::matrix_view(b, k, m),
-                                  planar::matrix_view(c, n, m), pcfg);
-                std::string label = std::string(simd::backend_name(bk)) +
-                                    "/threads=" + std::to_string(t) +
-                                    (mode == blas::engine::ThreadMode::pool
-                                         ? "/pool"
-                                         : "/auto");
-                DiffRecord rec{"gemm_packed", type, N, std::move(label),
-                               simd::backend_width<T>(bk), n * m,
-                               detail::count_mismatches(c, want, n * m)};
-                out.push_back(std::move(rec));
-            }
+            planar::Vector<T, N> c(n * m);
+            blas::GemmConfig pcfg;
+            pcfg.blocks = blocks;
+            pcfg.max_threads = static_cast<unsigned>(t);
+            blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
+                              planar::matrix_view(c, n, m), pcfg);
+            out.push_back(DiffRecord{
+                "gemm_packed", type, N,
+                std::string(simd::backend_name(bk)) + "/threads=" + std::to_string(t),
+                simd::backend_width<T>(bk), n * m, detail::count_mismatches(c, want, n * m)});
         }
     }
 #if defined(_OPENMP)
@@ -302,13 +290,13 @@ template <std::floating_point T, int N>
 }
 
 /// Diff the AoS GEMM front end against sequential planar::gemm across every
-/// available backend x thread cap x substrate. Operands are strided
-/// sub-views (row stride cols + 3) whose padding holds NaN sentinels, and C
-/// starts as garbage: `automatic` runs blas::gemm (C <- A B, worker cap set
-/// through the OpenMP runtime), `pool` runs the AoS gemm_packed overload on
-/// a zeroed C (C += A B) with the cap in GemmConfig; the nested record runs
-/// blas::gemm. A record's mismatches count wrong C elements plus clobbered
-/// padding elements.
+/// available backend x thread cap. Operands are strided sub-views (row
+/// stride cols + 3) whose padding holds NaN sentinels. Each cap gets two
+/// records: "/gemm" runs blas::gemm (C <- A B over a garbage C, worker cap
+/// set through the OpenMP runtime), "/gemm_packed" the AoS gemm_packed
+/// overload (C += A B on a zeroed C, cap in GemmConfig); the nested record
+/// runs blas::gemm. A record's mismatches count wrong C elements plus
+/// clobbered padding elements.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_aos(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -386,17 +374,16 @@ template <std::floating_point T, int N>
 #if defined(_OPENMP)
             omp_set_num_threads(saved_threads);
 #endif
-            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/auto",
+            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm",
                                      simd::backend_width<T>(bk), n * m, mismatches(c)});
 
-            // C += A B on a zeroed C through the pool substrate.
+            // C += A B on a zeroed C, capped through GemmConfig.
             std::vector<V> cp = fresh_c(V{});
             blas::GemmConfig pcfg;
-            pcfg.threads = blas::engine::ThreadMode::pool;
             pcfg.max_threads = static_cast<unsigned>(t);
             blas::gemm_packed<T, N>(av, bv, blas::MatrixView<V>{cp.data(), n, m, m + pad},
                                     pcfg);
-            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/pool",
+            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm_packed",
                                      simd::backend_width<T>(bk), n * m, mismatches(cp)});
         }
     }

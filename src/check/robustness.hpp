@@ -14,6 +14,11 @@
 //                           the sentinel's exit probe must detect it
 //                           (when="exit") -- detection-only: work done after
 //                           the flip legitimately rounds differently
+//   env-worker-ftz          OpenMP worker 1 left in FTZ by an earlier
+//                           2-thread region; a 2-worker gemm_packed on
+//                           operands near 2^-500 (subnormal TwoProd errors)
+//                           must repair that worker under policy=enforce
+//                           (mf_guard_enforced_total), bit-identical
 //   alloc[k]                the k-th panel reservation throws bad_alloc;
 //                           must degrade to the sequential unpacked path
 //                           (mf_guard_degraded_total{path="alloc"}),
@@ -21,14 +26,12 @@
 //   alloc[0]-aos            the same through the AoS front end (blas::gemm
 //                           on MultiFloat views): the B panel reservation
 //                           fails, the AoS unpacked path must take over
-//   thread[k]               the k-th worker spawn throws system_error; the
-//                           calling thread must absorb the orphaned blocks
-//                           (mf_guard_degraded_total{path="thread"}),
-//                           bit-identical
 //
 // Used by tests/guard_degrade_test.cpp and `mf_fuzz --inject ...`.
 
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -40,6 +43,10 @@
 #include "../guard/guard.hpp"
 #include "../telemetry/registry.hpp"
 #include "differ.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace mf::check {
 
@@ -55,7 +62,6 @@ struct FaultCase {
 struct RobustnessOptions {
     bool env = true;
     bool alloc = true;
-    bool thread = true;
     std::uint64_t seed = 20250807;
 };
 
@@ -83,7 +89,7 @@ namespace detail {
     constexpr int N = 2;
     constexpr std::size_t n = 40, k = 9, m = 13;
     // Tiny pinned blocks: 5 macro-panels (many pack edges), 2 reservations
-    // in serial mode, nw reservations + nw-1 spawns in pool mode.
+    // in serial mode, 1 + nw reservations with nw workers.
     const blas::BlockShape tiny{8, 8, 16};
 
     const guard::Policy saved_policy = guard::policy();
@@ -114,9 +120,10 @@ namespace detail {
 
     std::vector<FaultCase> out;
     // One case: `inject_fault` arms the fault, then `call` computes C = A B
-    // into its zeroed argument.
+    // into its zeroed argument, to be compared with `ref`.
     const auto run_case_with = [&](std::string name, std::string_view counter_needle,
-                                   bool require_identical, auto&& inject_fault,
+                                   bool require_identical,
+                                   const planar::Vector<T, N>& ref, auto&& inject_fault,
                                    auto&& call) {
         FaultCase fc;
         fc.name = std::move(name);
@@ -130,7 +137,7 @@ namespace detail {
         guard::inject::reset();
         const std::uint64_t delta =
             detail::counters_containing(counter_needle) - before;
-        const std::uint64_t bad = detail::count_mismatches(c, want, n * m);
+        const std::uint64_t bad = detail::count_mismatches(c, ref, n * m);
         fc.bit_identical = bad == 0;
 #if MF_TELEMETRY_ENABLED
         const bool counted = delta >= 1;
@@ -146,8 +153,8 @@ namespace detail {
     const auto run_case = [&](std::string name, std::string_view counter_needle,
                               bool require_identical, const blas::GemmConfig& gcfg,
                               auto&& inject_fault) {
-        run_case_with(std::move(name), counter_needle, require_identical, inject_fault,
-                      [&](planar::Vector<T, N>& c) {
+        run_case_with(std::move(name), counter_needle, require_identical, want,
+                      inject_fault, [&](planar::Vector<T, N>& c) {
                           blas::gemm_packed(planar::matrix_view(a, n, k),
                                             planar::matrix_view(b, k, m),
                                             planar::matrix_view(c, n, m), gcfg);
@@ -156,11 +163,7 @@ namespace detail {
 
     blas::GemmConfig serial;
     serial.blocks = tiny;
-    serial.threads = blas::engine::ThreadMode::serial;
-    blas::GemmConfig pool;
-    pool.blocks = tiny;
-    pool.threads = blas::engine::ThreadMode::pool;
-    pool.max_threads = 4;  // 5 blocks -> 4 planned workers, 3 spawns
+    serial.max_threads = 1;
 
     if (opt.env) {
         // Detection + neutralization needs enforce; warn would (correctly)
@@ -185,6 +188,54 @@ namespace detail {
                      guard::inject::arm_env(0,
                                             guard::Perturb::round_toward_zero);
                  });
+#if defined(_OPENMP)
+        // OpenMP keeps its workers between regions, and their FP environment
+        // with them: leave worker 1 of a 2-thread region flushing subnormals
+        // (saving its environment first), run a 2-worker call whose
+        // TwoProd errors are subnormal, then give the worker its environment
+        // back.
+        if (guard::perturb_supported(guard::Perturb::ftz)) {
+            const auto on_worker1 = [](auto&& f) {
+#pragma omp parallel num_threads(2)
+                {
+                    if (omp_get_thread_num() == 1) f();
+                }
+            };
+            const auto scaled = [](const planar::Vector<T, N>& v) {
+                planar::Vector<T, N> out = v;
+                for (int p = 0; p < N; ++p) {
+                    for (std::size_t i = 0; i < v.size(); ++i) {
+                        out.plane(p)[i] = std::ldexp(v.plane(p)[i], -500);
+                    }
+                }
+                return out;
+            };
+            const planar::Vector<T, N> a_tiny = scaled(a), b_tiny = scaled(b);
+            planar::Vector<T, N> want_tiny(n * m);
+            {
+                guard::ScopedFpEnv clean;
+                planar::gemm(a_tiny, b_tiny, want_tiny, n, k, m);
+            }
+            blas::GemmConfig two;
+            two.blocks = tiny;
+            two.max_threads = 2;
+            std::optional<guard::FpEnvSaver> worker_env;
+            on_worker1([&] {
+                worker_env.emplace();
+                guard::apply_perturb(guard::Perturb::ftz);
+            });
+            if (worker_env) {
+                run_case_with("env-worker-ftz", "mf_guard_enforced_total",
+                              /*require_identical=*/true, want_tiny, [] {},
+                              [&](planar::Vector<T, N>& c) {
+                                  blas::gemm_packed(planar::matrix_view(a_tiny, n, k),
+                                                    planar::matrix_view(b_tiny, k, m),
+                                                    planar::matrix_view(c, n, m), two);
+                              });
+            }
+            on_worker1([&] { worker_env.reset(); });
+        }
+#endif
         guard::set_policy(saved_policy);
     }
 
@@ -195,22 +246,24 @@ namespace detail {
                      "path=\"alloc\"", /*require_identical=*/true, serial,
                      [&] { guard::inject::arm_alloc(nth); });
         }
-        // Pool: B panel (0) then one A block per planned slot (1..4); fail
-        // the last one so every earlier reservation has already succeeded.
-        run_case("alloc[4]-pool", "path=\"alloc\"", /*require_identical=*/true,
-                 pool, [&] { guard::inject::arm_alloc(4); });
+        // Threaded (OpenMP builds): B panel (0) then one A block per planned
+        // slot (1..4); fail the last one so every earlier reservation has
+        // already succeeded.
+        blas::GemmConfig threaded;
+        threaded.blocks = tiny;
+        threaded.max_threads = 4;
+        const long last = blas::engine::planned_workers(
+            (n + tiny.mc - 1) / tiny.mc, blas::engine::ThreadMode::automatic,
+            threaded.max_threads);
+        if (last > 1) {
+            run_case("alloc[" + std::to_string(last) + "]-threaded", "path=\"alloc\"",
+                     /*require_identical=*/true, threaded,
+                     [&] { guard::inject::arm_alloc(last); });
+        }
         // AoS front end: a call this small runs serially, so reservation 0
         // is its B panel.
         run_case_with("alloc[0]-aos", "path=\"alloc\"", /*require_identical=*/true,
-                      [&] { guard::inject::arm_alloc(0); }, aos_gemm);
-    }
-
-    if (opt.thread) {
-        for (long nth : {0L, 1L}) {
-            run_case("thread[" + std::to_string(nth) + "]-pool",
-                     "path=\"thread\"", /*require_identical=*/true, pool,
-                     [&] { guard::inject::arm_spawn(nth); });
-        }
+                      want, [&] { guard::inject::arm_alloc(0); }, aos_gemm);
     }
 
     guard::set_policy(saved_policy);

@@ -1,14 +1,11 @@
 #pragma once
 // Fault injection for the robustness test matrix (DESIGN.md §12).
 //
-// Three injectable fault classes, each a countdown armed by a test harness
+// Two injectable fault classes, each a countdown armed by a test harness
 // (or `mf_fuzz --inject ...`):
 //
 //   alloc  -- the Nth AlignedBuffer allocation throws std::bad_alloc, as a
 //             real aligned `operator new` would under memory pressure;
-//   spawn  -- the Nth std::thread construction in engine::run_pool throws
-//             std::system_error(resource_unavailable_try_again), as a real
-//             spawn does at the pthread limit;
 //   env    -- at the Nth mid-GEMM checkpoint the calling thread's FP
 //             environment is perturbed (and deliberately NOT restored):
 //             detecting the leftover hostile state is what's under test.
@@ -28,7 +25,6 @@ namespace detail {
 
 struct State {
     std::atomic<long> alloc_countdown{-1};
-    std::atomic<long> spawn_countdown{-1};
     std::atomic<long> env_countdown{-1};
     std::atomic<unsigned> env_mask{0};
 };
@@ -57,11 +53,6 @@ inline void arm_alloc(long nth) noexcept {
     detail::state().alloc_countdown.store(nth, std::memory_order_relaxed);
 }
 
-/// Arm: the Nth (0-based) std::thread spawn after this call fails.
-inline void arm_spawn(long nth) noexcept {
-    detail::state().spawn_countdown.store(nth, std::memory_order_relaxed);
-}
-
 /// Arm: the Nth (0-based) mid-call env checkpoint applies `p` to the
 /// checkpoint's thread and leaves it applied.
 inline void arm_env(long nth, Perturb p) noexcept {
@@ -73,7 +64,6 @@ inline void arm_env(long nth, Perturb p) noexcept {
 /// Disarm everything.
 inline void reset() noexcept {
     detail::state().alloc_countdown.store(-1, std::memory_order_relaxed);
-    detail::state().spawn_countdown.store(-1, std::memory_order_relaxed);
     detail::state().env_countdown.store(-1, std::memory_order_relaxed);
     detail::state().env_mask.store(0, std::memory_order_relaxed);
 }
@@ -81,11 +71,6 @@ inline void reset() noexcept {
 /// Hook: called by AlignedBuffer::ensure before allocating.
 [[nodiscard]] inline bool should_fail_alloc() noexcept {
     return detail::countdown_hit(detail::state().alloc_countdown);
-}
-
-/// Hook: called by engine::run_pool before each std::thread construction.
-[[nodiscard]] inline bool should_fail_spawn() noexcept {
-    return detail::countdown_hit(detail::state().spawn_countdown);
 }
 
 /// Hook: mid-call environment checkpoint (e.g. after each pack_b in

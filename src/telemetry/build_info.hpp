@@ -5,7 +5,6 @@
 // which SIMD backend dispatch actually selected at runtime.
 
 #include <string>
-#include <thread>
 
 #include "../guard/fp_env.hpp"
 #include "../simd/backend.hpp"
@@ -26,6 +25,7 @@ struct BuildInfo {
     std::string git_sha;
     std::string compiler;
     int threads = 1;      ///< worker threads a parallel region would use
+                          ///< (1 without OpenMP)
     std::string backend;  ///< SIMD backend active at query time
     std::string fp_env;   ///< probed FP environment, e.g. "rn" or "rz+ftz"
                           ///< (guard::fp_env_string -- nominal is "rn")
@@ -43,9 +43,6 @@ struct BuildInfo {
 #endif
 #if defined(_OPENMP)
     b.threads = omp_get_max_threads();
-#else
-    b.threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (b.threads < 1) b.threads = 1;
 #endif
     b.backend = simd::backend_name(simd::active_backend());
     b.fp_env = guard::fp_env_string();

@@ -1,24 +1,21 @@
 // mf::guard graceful degradation (DESIGN.md §12).
 //
 // Drives the guard::inject fault hooks through the real execution paths and
-// asserts the degradation contracts: a failed worker spawn is absorbed by
-// parallel_blocks_slots with every block still executed exactly once, a
-// failed packing allocation routes gemm_packed (planar or AoS, the latter
-// through blas::gemm) onto the unpacked fallback with a bit-identical
-// result, and the full check::run_fault_matrix -- the same
-// matrix `mf_fuzz --inject` runs in CI -- comes back clean. Faults here are
+// asserts the degradation contracts: a failed packing allocation routes
+// gemm_packed (planar or AoS, the latter through blas::gemm) onto the
+// unpacked fallback with a bit-identical result, and the full
+// check::run_fault_matrix -- the same matrix `mf_fuzz --inject` runs in CI,
+// including the hostile-OpenMP-worker case -- comes back clean. Faults here are
 // injected, never real: the suite must pass on any machine.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <new>
 #include <random>
 #include <vector>
 
 #include "blas/engine/packing.hpp"
-#include "blas/engine/threading.hpp"
 #include "check/robustness.hpp"
 #include "guard/guard.hpp"
 
@@ -30,35 +27,6 @@ class GuardDegradeTest : public ::testing::Test {
 protected:
     void TearDown() override { guard::inject::reset(); }
 };
-
-TEST_F(GuardDegradeTest, SpawnFaultStillVisitsEveryBlockExactlyOnce) {
-    constexpr std::size_t nblocks = 13;
-    const unsigned planned = blas::engine::planned_workers(
-        nblocks, blas::engine::ThreadMode::pool, /*max_threads=*/4);
-    // Fail the 0th, 1st, and last spawn in turn; also run fault-free.
-    std::vector<long> faults{0, 1, static_cast<long>(planned) - 1, -1};
-    for (long nth : faults) {
-        if (nth >= 0) guard::inject::arm_spawn(nth);
-        std::vector<std::atomic<int>> visits(nblocks);
-        std::atomic<unsigned> max_slot{0};
-        blas::engine::parallel_blocks_slots(
-            nblocks,
-            [&](std::size_t blk, unsigned slot) {
-                visits[blk].fetch_add(1, std::memory_order_relaxed);
-                unsigned cur = max_slot.load(std::memory_order_relaxed);
-                while (slot > cur &&
-                       !max_slot.compare_exchange_weak(cur, slot)) {
-                }
-            },
-            blas::engine::ThreadMode::pool, /*max_threads=*/4);
-        guard::inject::reset();
-        for (std::size_t b = 0; b < nblocks; ++b) {
-            EXPECT_EQ(visits[b].load(), 1)
-                << "block " << b << " with spawn fault at " << nth;
-        }
-        EXPECT_LT(max_slot.load(), planned) << "slot out of planned range";
-    }
-}
 
 TEST_F(GuardDegradeTest, AlignedBufferInjectedAllocThrowsOnceThenRecovers) {
     blas::engine::AlignedBuffer<double> buf;
@@ -84,7 +52,7 @@ TEST_F(GuardDegradeTest, GemmAllocFaultFallsBackBitIdentically) {
     check::detail::fill_vectors(rng, n * m, cfg, c_seed);
 
     blas::GemmConfig gcfg;
-    gcfg.threads = blas::engine::ThreadMode::serial;
+    gcfg.max_threads = 1;
     gcfg.blocks = blas::BlockShape{8, 8, 16};  // several macro-panels
 
     planar::Vector<double, 2> c_ref = c_seed;

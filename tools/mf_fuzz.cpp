@@ -48,12 +48,11 @@ struct Options {
     bool full_domain = true;   // subnormals / near-overflow / specials on
     bool diff = true;
     bool self_test = false;
-    // --inject env,alloc,thread: with --self-test, run the mf::guard
+    // --inject env,alloc: with --self-test, run the mf::guard
     // fault-injection matrix for the listed classes instead of the
     // broken-kernel conformance self-test.
     bool inject_env = false;
     bool inject_alloc = false;
-    bool inject_thread = false;
     bool inject_any = false;
 };
 
@@ -64,7 +63,7 @@ int usage(const char* argv0) {
                  "          [--json PATH] [--corpus FILE] [--write-corpus FILE]\n"
                  "          [--metrics PATH] [--bound-domain-only] [--no-diff] "
                  "[--self-test]\n"
-                 "          [--inject env,alloc,thread]   (requires --self-test: "
+                 "          [--inject env,alloc]   (requires --self-test: "
                  "run the fault matrix)\n",
                  argv0);
     return 2;
@@ -198,7 +197,7 @@ bool run_self_test() {
     return ok;
 }
 
-/// Parse the --inject class list ("env,alloc,thread"). Returns false on an
+/// Parse the --inject class list ("env,alloc"). Returns false on an
 /// unknown class name.
 bool parse_inject(const char* v, Options* opt) {
     std::string s = v;
@@ -211,15 +210,13 @@ bool parse_inject(const char* v, Options* opt) {
             opt->inject_env = true;
         } else if (cls == "alloc") {
             opt->inject_alloc = true;
-        } else if (cls == "thread") {
-            opt->inject_thread = true;
         } else {
             return false;
         }
         if (comma == std::string::npos) break;
         pos = comma + 1;
     }
-    opt->inject_any = opt->inject_env || opt->inject_alloc || opt->inject_thread;
+    opt->inject_any = opt->inject_env || opt->inject_alloc;
     return opt->inject_any;
 }
 
@@ -229,10 +226,9 @@ bool run_inject_matrix(const Options& opt) {
     RobustnessOptions ro;
     ro.env = opt.inject_env;
     ro.alloc = opt.inject_alloc;
-    ro.thread = opt.inject_thread;
     ro.seed = opt.seed;
-    std::printf("mf_fuzz: fault-injection matrix (env=%d alloc=%d thread=%d)\n",
-                int(ro.env), int(ro.alloc), int(ro.thread));
+    std::printf("mf_fuzz: fault-injection matrix (env=%d alloc=%d)\n", int(ro.env),
+                int(ro.alloc));
     const std::vector<FaultCase> cases = run_fault_matrix(ro);
     print_fault_matrix(cases);
     const bool ok = fault_matrix_clean(cases);
