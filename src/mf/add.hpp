@@ -109,58 +109,66 @@ template <FloatingPoint T, int N>
     }
 }
 
+// The operator surface inlines like the kernels it forwards to (eft.hpp).
+
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator+(const MultiFloat<T, N>& x,
-                                                   const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator+(
+    const MultiFloat<T, N>& x, const MultiFloat<T, N>& y) noexcept {
     return add(x, y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator-(const MultiFloat<T, N>& x,
-                                                   const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator-(
+    const MultiFloat<T, N>& x, const MultiFloat<T, N>& y) noexcept {
     return sub(x, y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator+(const MultiFloat<T, N>& x, T y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator+(const MultiFloat<T, N>& x,
+                                                                    T y) noexcept {
     return add(x, y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator+(T x, const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator+(
+    T x, const MultiFloat<T, N>& y) noexcept {
     return add(y, x);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator-(const MultiFloat<T, N>& x, T y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator-(const MultiFloat<T, N>& x,
+                                                                    T y) noexcept {
     return add(x, -y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] constexpr MultiFloat<T, N> operator-(T x, const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> operator-(
+    T x, const MultiFloat<T, N>& y) noexcept {
     return add(-y, x);
 }
 
 template <FloatingPoint T, int N>
-constexpr MultiFloat<T, N>& operator+=(MultiFloat<T, N>& x, const MultiFloat<T, N>& y) noexcept {
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N>& operator+=(MultiFloat<T, N>& x,
+                                                        const MultiFloat<T, N>& y) noexcept {
     x = add(x, y);
     return x;
 }
 
 template <FloatingPoint T, int N>
-constexpr MultiFloat<T, N>& operator-=(MultiFloat<T, N>& x, const MultiFloat<T, N>& y) noexcept {
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N>& operator-=(MultiFloat<T, N>& x,
+                                                        const MultiFloat<T, N>& y) noexcept {
     x = sub(x, y);
     return x;
 }
 
 template <FloatingPoint T, int N>
-constexpr MultiFloat<T, N>& operator+=(MultiFloat<T, N>& x, T y) noexcept {
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N>& operator+=(MultiFloat<T, N>& x, T y) noexcept {
     x = add(x, y);
     return x;
 }
 
 template <FloatingPoint T, int N>
-constexpr MultiFloat<T, N>& operator-=(MultiFloat<T, N>& x, T y) noexcept {
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N>& operator-=(MultiFloat<T, N>& x, T y) noexcept {
     x = add(x, -y);
     return x;
 }

@@ -19,7 +19,12 @@
 /// The FPAN kernels must inline completely: a leftover call defeats the loop
 /// vectorizer in the data-parallel BLAS kernels (the whole point of being
 /// branch-free). GCC stops inlining around the 4-term multiplier's size on
-/// its own, so the hot path is annotated explicitly.
+/// its own, so the hot path is annotated explicitly. The rule covers the
+/// whole arithmetic surface user code writes, not only add()/mul(): every
+/// operator and compound assignment (+ - * / += -= *= /=, mixed-scalar forms
+/// included) and recip/div/rsqrt/sqrt carry this attribute, so a loop such as
+/// `w -= l * v` compiles to straight-line code the vectorizer can see.
+/// Inlining changes no bits (-ffp-contract=off; tests/inline_surface_test.cpp).
 #define MF_ALWAYS_INLINE inline __attribute__((always_inline))
 
 namespace mf {

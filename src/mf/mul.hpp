@@ -192,30 +192,33 @@ template <FloatingPoint T, int N>
     return r;
 }
 
+// The operator surface inlines like the kernels it forwards to (eft.hpp).
+
 template <FloatingPoint T, int N>
-[[nodiscard]] MultiFloat<T, N> operator*(const MultiFloat<T, N>& x,
-                                         const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> operator*(const MultiFloat<T, N>& x,
+                                                          const MultiFloat<T, N>& y) noexcept {
     return mul(x, y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] MultiFloat<T, N> operator*(const MultiFloat<T, N>& x, T y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> operator*(const MultiFloat<T, N>& x, T y) noexcept {
     return mul(x, y);
 }
 
 template <FloatingPoint T, int N>
-[[nodiscard]] MultiFloat<T, N> operator*(T x, const MultiFloat<T, N>& y) noexcept {
+[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> operator*(T x, const MultiFloat<T, N>& y) noexcept {
     return mul(y, x);
 }
 
 template <FloatingPoint T, int N>
-MultiFloat<T, N>& operator*=(MultiFloat<T, N>& x, const MultiFloat<T, N>& y) noexcept {
+MF_ALWAYS_INLINE MultiFloat<T, N>& operator*=(MultiFloat<T, N>& x,
+                                              const MultiFloat<T, N>& y) noexcept {
     x = mul(x, y);
     return x;
 }
 
 template <FloatingPoint T, int N>
-MultiFloat<T, N>& operator*=(MultiFloat<T, N>& x, T y) noexcept {
+MF_ALWAYS_INLINE MultiFloat<T, N>& operator*=(MultiFloat<T, N>& x, T y) noexcept {
     x = mul(x, y);
     return x;
 }

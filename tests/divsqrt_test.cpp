@@ -117,6 +117,44 @@ TYPED_TEST(DivSqrtTyped, RsqrtConsistentWithSqrtAndRecip) {
     }
 }
 
+// recip and rsqrt themselves at N = 3, 4, where the progressive schedule
+// seeds the last full-width step with the ceil(N/2)-limb iterate of a's
+// leading limbs. The generator corners are where that truncation bites:
+// gap ladders, leads hugging a power of two, and tails parked exactly on the
+// Eq. 8 half-ulp boundary.
+template <typename MF>
+class ProgressiveNewton : public ::testing::Test {};
+
+using WideTypes = ::testing::Types<MultiFloat<double, 3>, MultiFloat<double, 4>,
+                                   MultiFloat<float, 3>, MultiFloat<float, 4>>;
+TYPED_TEST_SUITE(ProgressiveNewton, WideTypes);
+
+TYPED_TEST(ProgressiveNewton, RecipAndRsqrtOnGeneratorCorners) {
+    using T = typename TypeParam::value_type;
+    constexpr int N = TypeParam::num_limbs;
+    constexpr int p = std::numeric_limits<T>::digits;
+    std::mt19937_64 rng(7 + N + p);
+    check::GenConfig cfg;
+    cfg.lead_min = -15;
+    cfg.lead_max = 15;
+    for (int i = 0; i < 3000; ++i) {
+        TypeParam a;
+        switch (i % 3) {
+            case 0: a = check::gen_ladder<T, N>(rng, cfg); break;
+            case 1: a = check::gen_straddle<T, N>(rng, cfg); break;
+            default: a = check::gen_boundary<T, N>(rng, cfg); break;
+        }
+        if (a.is_zero()) a = TypeParam(T(3));
+        const BigFloat one = BigFloat::from_int(1);
+        MF_EXPECT_REL_BOUND(recip(a), BigFloat::div(one, exact(a), N * p + 20),
+                            (newton_bound<N, p>));
+        const TypeParam m = abs(a);
+        const BigFloat want_rsqrt =
+            BigFloat::div(one, BigFloat::sqrt(exact(m), N * p + 40), N * p + 20);
+        MF_EXPECT_REL_BOUND(rsqrt(m), want_rsqrt, (newton_bound<N, p>));
+    }
+}
+
 TEST(DivSqrtDirected, ExactCases) {
     EXPECT_TRUE(mf::sqrt(Float64x4{}).is_zero());
     const Float64x3 four(4.0);
