@@ -91,12 +91,13 @@ bool JsonReport::write(const std::string& path) const {
     std::fprintf(f,
                  "{\n  \"bench\": \"%s\",\n  \"cpu\": \"%s\",\n"
                  "  \"git_sha\": \"%s\",\n  \"compiler\": \"%s\",\n"
+                 "  \"telemetry\": \"%s\",\n"
                  "  \"threads\": %d,\n  \"backend\": \"%s\",\n"
                  "  \"fp_env\": \"%s\",\n  \"records\": [",
                  clean(bench).c_str(), clean(cpu_name()).c_str(),
                  clean(info.git_sha).c_str(), clean(info.compiler).c_str(),
-                 info.threads, clean(info.backend).c_str(),
-                 clean(info.fp_env).c_str());
+                 clean(info.telemetry).c_str(), info.threads,
+                 clean(info.backend).c_str(), clean(info.fp_env).c_str());
     for (std::size_t i = 0; i < records.size(); ++i) {
         const JsonRecord& r = records[i];
         std::fprintf(f,

@@ -44,12 +44,13 @@ bool ConformanceReport::write(const std::string& path) const {
                  "{\n  \"check\": \"conformance\",\n  \"seed\": %" PRIu64
                  ",\n  \"iters_per_run\": %" PRIu64 ",\n  \"backend\": \"%s\",\n"
                  "  \"git_sha\": \"%s\",\n  \"compiler\": \"%s\",\n"
+                 "  \"telemetry\": \"%s\",\n"
                  "  \"threads\": %d,\n  \"fp_env\": \"%s\",\n"
                  "  \"clean\": %s,\n  \"runs\": [",
                  seed, iters_per_run, json_clean(backend).c_str(),
                  json_clean(info.git_sha).c_str(), json_clean(info.compiler).c_str(),
-                 info.threads, json_clean(info.fp_env).c_str(),
-                 clean() ? "true" : "false");
+                 json_clean(info.telemetry).c_str(), info.threads,
+                 json_clean(info.fp_env).c_str(), clean() ? "true" : "false");
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const RunStats& r = runs[i];
         std::fprintf(f,

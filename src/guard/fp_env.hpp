@@ -14,12 +14,18 @@
 //
 // Two complementary mechanisms:
 //   * behavioral probes -- a handful of volatile flops whose rounded results
-//     differ by environment. Portable ground truth: they observe what the
-//     hardware actually does, including environments no register read can
-//     name (x87 precision control, emulated FPUs).
-//   * register reads -- MXCSR on x86, FPCR on AArch64. Near-free, kept in
-//     the snapshot as raw provenance and used to *set* bits the C standard
-//     gives no portable access to (FTZ/DAZ).
+//     differ by environment. They observe what the hardware actually does,
+//     including environments no register read can name (x87 precision
+//     control, emulated FPUs). The rounding and contraction probes always
+//     run this way.
+//   * register reads -- MXCSR on x86, FPCR on AArch64. About 2 ns to read,
+//     kept in the snapshot as raw provenance and used to *set* bits the C
+//     standard gives no portable access to (FTZ/DAZ). Where that register
+//     governs binary32/binary64 arithmetic (x86 with SSE math, AArch64) the
+//     snapshot also *reads* the flush state from it: the two subnormal
+//     probes each take a microcode assist (~65 ns apiece on a 2.1 GHz Xeon,
+//     against ~2 ns for the read), which made them most of a guarded call's
+//     fixed cost. They remain the flush detector on every other target.
 //
 // All probes go through volatile locals: the values must be computed by the
 // machine at call time, in the caller's live environment, not constant-folded
@@ -101,10 +107,31 @@ inline constexpr std::uint64_t kFtzBits = 0;
 inline constexpr std::uint64_t kDazBits = 0;
 #endif
 
+// The bits fp_env_snapshot() decodes as flush state, on targets where the
+// register governs this translation unit's binary32/binary64 arithmetic.
+// i386 without SSE math computes `double` on the x87, which never flushes,
+// so it keeps the behavioral probes. FPCR.FZ16 is not read: it flushes only
+// half precision, and the probes never reported it. FPCR.FIZ (bit 0,
+// FEAT_AFP; RES0 without it) flushes inputs alone.
+#if MF_GUARD_HAVE_MXCSR && defined(__SSE2_MATH__)
+inline constexpr std::uint64_t kFtzRead = kFtzBits;
+inline constexpr std::uint64_t kDazRead = kDazBits;
+#elif MF_GUARD_HAVE_FPCR
+inline constexpr std::uint64_t kFtzRead = 1ull << 24;
+inline constexpr std::uint64_t kDazRead = (1ull << 24) | 1ull;
+#else
+inline constexpr std::uint64_t kFtzRead = 0;
+inline constexpr std::uint64_t kDazRead = 0;
+#endif
+inline constexpr bool kFlushFromRegister = kFtzRead != 0;
+
 }  // namespace detail
 
 /// Behavioral probe: does a subnormal RESULT survive? min_normal/2 is an
 /// exact subnormal in every rounding mode; FTZ (or FPCR.FZ) flushes it to 0.
+/// Under DAZ alone it reports a flush too: the stored subnormal re-enters
+/// the comparison as an input. fp_env_snapshot() calls it only where no
+/// control register names the flush state.
 [[nodiscard]] inline bool probe_subnormal_outputs() noexcept {
     volatile double x = std::numeric_limits<double>::min();
     volatile double y = x * 0.5;
@@ -154,8 +181,9 @@ inline constexpr std::uint64_t kDazBits = 0;
 }
 
 /// What the sentinels learned about the calling thread's FP environment.
-/// `rounding`/`ftz`/`daz` are behavioral observations (ground truth);
-/// `raw_control` is the register word for provenance dumps.
+/// `rounding` is a behavioral observation; `ftz`/`daz` are decoded from
+/// `raw_control` where that register governs the arithmetic, and observed
+/// by the subnormal probes elsewhere.
 struct FpEnvSnapshot {
     Rounding rounding = Rounding::unknown;
     bool ftz = false;             ///< subnormal outputs flushed
@@ -169,8 +197,13 @@ struct FpEnvSnapshot {
     FpEnvSnapshot s;
     s.raw_control = read_control_register();
     s.rounding = probe_rounding();
-    s.ftz = !probe_subnormal_outputs();
-    s.daz = !probe_subnormal_inputs();
+    if constexpr (detail::kFlushFromRegister) {
+        s.ftz = (s.raw_control & detail::kFtzRead) != 0;
+        s.daz = (s.raw_control & detail::kDazRead) != 0;
+    } else {
+        s.ftz = !probe_subnormal_outputs();
+        s.daz = !probe_subnormal_inputs();
+    }
     s.subnormals_ok = !s.ftz && !s.daz;
     s.fma_contraction =
         s.rounding == Rounding::nearest && probe_fma_contraction();

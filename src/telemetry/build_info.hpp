@@ -1,13 +1,15 @@
 #pragma once
 // Build/run provenance for stamping exported artifacts: every BENCH_*.json,
 // CHECK_*.json and metrics exposition carries enough context to reproduce
-// the measurement -- which commit, which compiler, how many threads, and
-// which SIMD backend dispatch actually selected at runtime.
+// the measurement -- which commit, which compiler, whether telemetry is
+// compiled in, how many threads, and which SIMD backend dispatch actually
+// selected at runtime.
 
 #include <string>
 
 #include "../guard/fp_env.hpp"
 #include "../simd/backend.hpp"
+#include "events.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -24,6 +26,8 @@ namespace mf::telemetry {
 struct BuildInfo {
     std::string git_sha;
     std::string compiler;
+    std::string telemetry;  ///< "on" or "off": MF_TELEMETRY_ENABLED in the
+                            ///< translation unit that stamped the record
     int threads = 1;      ///< worker threads a parallel region would use
                           ///< (1 without OpenMP)
     std::string backend;  ///< SIMD backend active at query time
@@ -41,6 +45,7 @@ struct BuildInfo {
 #else
     b.compiler = "unknown";
 #endif
+    b.telemetry = MF_TELEMETRY_ENABLED ? "on" : "off";
 #if defined(_OPENMP)
     b.threads = omp_get_max_threads();
 #endif

@@ -73,7 +73,8 @@ namespace detail {
     out += "# mf::telemetry exposition\n";
     out += "# TYPE mf_build_info gauge\n";
     out += "mf_build_info{git_sha=\"" + detail::expo_clean(info.git_sha) +
-           "\",compiler=\"" + detail::expo_clean(info.compiler) + "\",threads=\"" +
+           "\",compiler=\"" + detail::expo_clean(info.compiler) + "\",telemetry=\"" +
+           detail::expo_clean(info.telemetry) + "\",threads=\"" +
            std::to_string(info.threads) + "\",backend=\"" +
            detail::expo_clean(info.backend) + "\",fp_env=\"" +
            detail::expo_clean(info.fp_env) + "\"} 1\n";

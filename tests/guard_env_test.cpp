@@ -1,8 +1,9 @@
 // mf::guard environment sentinels (DESIGN.md §12).
 //
 // Uses ScopedFpPerturb -- ScopedFpEnv's inverse -- to install each hostile
-// environment the guard defends against, then asserts the behavioral probes
-// detect every one, that ScopedFpEnv neutralizes them, and that the Sentinel
+// environment the guard defends against, then asserts the snapshot detects
+// every one (its register-decoded flush state agreeing with the behavioral
+// probes), that ScopedFpEnv neutralizes them, and that the Sentinel
 // wired into the blas:: entry points reports and (under enforce) corrects
 // them with bit-identical results. Along the way it DOCUMENTS the actual
 // numerical damage each environment does to the paper's add2/mul2 kernels:
@@ -116,6 +117,73 @@ TEST(GuardProbe, ScopedFpEnvNeutralizesEveryPerturbation) {
         EXPECT_FALSE(guard::env_nominal(guard::fp_env_snapshot()))
             << "ScopedFpEnv restore lost the caller's environment (" << tag << ")";
     }
+}
+
+// Where the control register governs the arithmetic, the snapshot decodes
+// FTZ/DAZ from it; everywhere it must agree with the behavioral probes. The
+// one divergence is DAZ alone: the output probe's subnormal result reads
+// back as zero through the comparison (a subnormal *input*), so that probe
+// reports a flush the register does not set.
+TEST(GuardProbe, RegisterDecodeAgreesWithProbes) {
+    std::vector<std::pair<const char*, Perturb>> envs = supported_perturbs();
+    envs.emplace(envs.begin(), "nominal", Perturb::none);
+    if (guard::perturb_supported(Perturb::ftz | Perturb::daz)) {
+        envs.emplace_back("ftz|daz", Perturb::ftz | Perturb::daz);
+    }
+    guard::FpEnvSaver restore;
+    for (const auto& [tag, p] : envs) {
+        guard::ScopedFpEnv clean;  // each case starts from nominal
+        guard::ScopedFpPerturb hostile(p);
+        const guard::FpEnvSnapshot s = guard::fp_env_snapshot();
+        const bool outputs_flushed = !guard::probe_subnormal_outputs();
+        const bool inputs_flushed = !guard::probe_subnormal_inputs();
+        const std::uint64_t cr = s.raw_control;
+#if MF_GUARD_HAVE_MXCSR && defined(__SSE2_MATH__)
+        EXPECT_EQ(s.ftz, ((cr >> 15) & 1) != 0) << tag;  // MXCSR.FTZ
+        EXPECT_EQ(s.daz, ((cr >> 6) & 1) != 0) << tag;   // MXCSR.DAZ
+        if (p == Perturb::daz) {
+            EXPECT_FALSE(s.ftz) << tag;
+            EXPECT_TRUE(outputs_flushed) << tag;
+            EXPECT_EQ(guard::fp_env_string(s), "rn+daz");
+        }
+#elif MF_GUARD_HAVE_FPCR
+        EXPECT_EQ(s.ftz, ((cr >> 24) & 1) != 0) << tag;          // FPCR.FZ
+        EXPECT_EQ(s.daz, ((cr >> 24) & 1) != 0 || (cr & 1) != 0) << tag;  // FZ, FIZ
+#else
+        (void)cr;
+#endif
+        EXPECT_EQ(s.daz, inputs_flushed) << tag;
+        if (s.daz && !s.ftz) {
+            EXPECT_TRUE(outputs_flushed) << tag;
+        } else {
+            EXPECT_EQ(s.ftz, outputs_flushed) << tag;
+        }
+    }
+}
+
+// The snapshot must cost a register read, not a microcode assist. A
+// subnormal operand raises the sticky MXCSR flag DE (bit 1) and a tiny
+// result raises UE (bit 4), so both flags still clear after a snapshot and
+// a warn-policy Sentinel prove no subnormal was touched, with no timing.
+TEST(GuardProbe, SnapshotTouchesNoSubnormal) {
+#if MF_GUARD_HAVE_MXCSR && defined(__SSE2_MATH__)
+    constexpr unsigned kStatusFlags = 0x3f;
+    constexpr unsigned kDenormal = 1u << 1;
+    constexpr unsigned kUnderflow = 1u << 4;
+    const guard::Policy saved = guard::policy();
+    guard::set_policy(guard::Policy::warn);
+    guard::FpEnvSaver restore;
+    guard::ScopedFpEnv clean;
+    _mm_setcsr(_mm_getcsr() & ~kStatusFlags);
+    (void)guard::fp_env_snapshot();
+    { guard::Sentinel s("test.flags"); }
+    const unsigned flags = _mm_getcsr() & kStatusFlags;
+    guard::set_policy(saved);
+    EXPECT_EQ(flags & kDenormal, 0u) << "MXCSR status 0x" << std::hex << flags;
+    EXPECT_EQ(flags & kUnderflow, 0u) << "MXCSR status 0x" << std::hex << flags;
+#else
+    GTEST_SKIP() << "MXCSR does not govern double arithmetic in this build";
+#endif
 }
 
 TEST(GuardProbe, PerturbRoundTripRestoresRegister) {

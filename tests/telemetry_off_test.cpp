@@ -79,6 +79,11 @@ TEST(TelemetryOff, InstrumentedArithmeticRegistersNothing) {
     EXPECT_TRUE(snap.spans.empty());
 }
 
+TEST(TelemetryOff, BuildInfoStampsOff) {
+    // BENCH/CHECK provenance must name the mode that produced the numbers.
+    EXPECT_EQ(mf::telemetry::build_info().telemetry, "off");
+}
+
 TEST(TelemetryOff, RegistryApiStillWorks) {
     // The registry is mode-independent: tools that link it must keep working
     // in OFF builds (they just see whatever was explicitly registered).

@@ -186,6 +186,8 @@ TEST(TelemetryExposition, RendersCountersHistogramsAndBuildInfo) {
     EXPECT_NE(text.find("# TYPE mf_build_info gauge"), std::string::npos);
     EXPECT_NE(text.find("mf_build_info{git_sha="), std::string::npos);
     EXPECT_NE(text.find("backend="), std::string::npos);
+    EXPECT_NE(text.find(MF_TELEMETRY_ENABLED ? "telemetry=\"on\"" : "telemetry=\"off\""),
+              std::string::npos);
 }
 
 TEST(TelemetryWiring, GemmPopulatesDispatchKernelOpsAndTileCounters) {

@@ -147,8 +147,9 @@ int main(int argc, char** argv) {
     const telemetry::Snapshot snap = telemetry::Registry::instance().snapshot();
     std::printf("mf_top: gemm double x 4, n=%zu, reps=%d, checksum %.6g\n", n, reps,
                 checksum);
-    std::printf("build: sha=%s threads=%d backend=%s\n", info.git_sha.c_str(),
-                info.threads, info.backend.c_str());
+    std::printf("build: sha=%s telemetry=%s threads=%d backend=%s\n",
+                info.git_sha.c_str(), info.telemetry.c_str(), info.threads,
+                info.backend.c_str());
     std::printf("spans recorded: %zu\n\n", snap.spans.size());
     std::vector<Row> rows;
     for (const telemetry::CounterSnap& cs : snap.counters) {
