@@ -14,7 +14,7 @@
 // Timings use median-of-K (bench::median_time): these records feed the
 // BENCH_*.json trajectories, where run-to-run robustness beats peak
 // flattery. The JSON is stamped with git SHA / compiler / thread count /
-// active backend (harness.cpp, via mf::telemetry::build_info()).
+// native ISA (harness.cpp, via mf::telemetry::build_info()).
 //
 //   usage: bench_gemm [--quick] [output.json]     (default BENCH_gemm.json)
 
@@ -67,8 +67,7 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
     const double gflops = ops * flops_per_op(limbs) / secs / 1e9;
     std::printf("  %-11s %-7s N=%d  %4zu^3  w=%-2d  %8.3f ns/op  %8.3f GFLOP-equiv/s\n",
                 kernel, type, limbs, dim, width, ns, gflops);
-    out.add({kernel, type, limbs,
-             simd::backend_name(simd::active_backend()), width, ns, gflops, dim});
+    out.add({kernel, type, limbs, simd::native_isa, width, ns, gflops, dim});
 }
 
 /// One (type, N, n) cube through both engines. C accumulates across reps
@@ -116,10 +115,9 @@ int main(int argc, char** argv) {
             path = argv[i];
         }
     }
-    // Default (widest-detected) backend: the engines' relative standing is
-    // what this benchmark tracks; the per-backend spread is bench_simd's job.
-    std::printf("bench_gemm: sweep vs packed (backend %s)%s\n",
-                simd::backend_name(simd::active_backend()),
+    // The build's native pack width: the engines' relative standing is what
+    // this benchmark tracks; the per-width spread is bench_simd's job.
+    std::printf("bench_gemm: sweep vs packed (backend %s)%s\n", simd::native_isa,
                 quick ? " [quick]" : "");
     bench::JsonReport out;
     out.bench = "gemm_engines";

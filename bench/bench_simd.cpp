@@ -1,16 +1,19 @@
-// Explicit-SIMD planar path vs the pre-SIMD auto-vectorized path, per
-// backend, with machine-readable output (BENCH_simd.json).
+// Explicit-SIMD planar path vs the pre-SIMD auto-vectorized path, per pack
+// width, with machine-readable output (BENCH_simd.json).
 //
 // The "autovec" rows re-create the seed's planar loops verbatim (plain
 // per-element loop + `#pragma GCC ivdep`, compiler auto-vectorization only);
-// the backend rows run the same workloads through mf::simd packs at each
-// backend available on this machine. Acceptance: the widest explicit backend
-// must be no slower than autovec on axpy/dot/gemm.
+// the pack rows run the same workloads through the mf::simd kernels at every
+// width W in {1, 2, 4, 8, 16} with W * sizeof(T) <= 64. A row's backend names
+// the Pack<T, W> that ran it: "scalar" (W = 1), "intrinsic" (one register of
+// an ISA this build compiles) or "generic" (the portable lane loop).
+// Acceptance: the native width must be no slower than autovec on
+// axpy/dot/gemm.
 //
 // Timings use median-of-K (bench::median_time) rather than best-of: these
 // records feed the BENCH_*.json trajectories, where run-to-run robustness
 // beats peak flattery. The JSON is stamped with git SHA / compiler / thread
-// count / active backend (harness.cpp, via mf::telemetry::build_info()).
+// count / native ISA (harness.cpp, via mf::telemetry::build_info()).
 //
 //   usage: bench_simd [output.json]        (default BENCH_simd.json)
 
@@ -100,10 +103,12 @@ MultiFloat<T, N> autovec_dot(const planar::Vector<T, N>& x,
     return acc;
 }
 
-template <FloatingPoint T, int N>
-void autovec_gemm(const planar::Vector<T, N>& a, const planar::Vector<T, N>& b,
-                  planar::Vector<T, N>& c, std::size_t n, std::size_t k,
-                  std::size_t m) {
+/// planar::gemm's ikj loop with its row sweep fma(aik, brow, crow, m)
+/// supplied by the caller.
+template <FloatingPoint T, int N, typename Fma>
+void sweep_gemm(const planar::Vector<T, N>& a, const planar::Vector<T, N>& b,
+                planar::Vector<T, N>& c, std::size_t n, std::size_t k, std::size_t m,
+                Fma&& fma) {
     const T* bp[N];
     T* cp[N];
     for (int p = 0; p < N; ++p) {
@@ -120,7 +125,7 @@ void autovec_gemm(const planar::Vector<T, N>& a, const planar::Vector<T, N>& b,
                 brow[p] = bp[p] + kk * m;
                 crow[p] = cp[p] + i * m;
             }
-            autovec_fma_range<T, N>(aik, brow, crow, 0, m);
+            fma(aik, brow, crow, m);
         }
     }
 }
@@ -157,15 +162,12 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
     out.add({kernel, type, limbs, backend, width, ns, gflops});
 }
 
-/// Every backend available on this machine, widest last.
-std::vector<simd::Backend> available_backends() {
-    std::vector<simd::Backend> v;
-    for (simd::Backend b : {simd::Backend::scalar, simd::Backend::sse2,
-                            simd::Backend::neon, simd::Backend::avx2,
-                            simd::Backend::avx512}) {
-        if (simd::backend_available(b)) v.push_back(b);
-    }
-    return v;
+/// Which Pack<T, W> runs a width-W row: an intrinsic specialization is one
+/// vector register, so only it is aligned to its full W * sizeof(T) bytes.
+template <FloatingPoint T, int W>
+const char* pack_kind() {
+    if constexpr (W == 1) return "scalar";
+    return alignof(simd::Pack<T, W>) == W * sizeof(T) ? "intrinsic" : "generic";
 }
 
 template <FloatingPoint T, int N>
@@ -184,7 +186,6 @@ void run_type(bench::JsonReport& out, const char* type_name) {
     // Warm-up: sustain the widest-vector workload before the first
     // measurement so autovec (measured first in each block) is not flattered
     // by turbo clocks the later AVX-heavy measurements no longer get.
-    simd::set_backend(available_backends().back());
     bench::best_time([&] { planar::axpy(alpha, x, y); }, 0.5);
 
     // AXPY
@@ -192,13 +193,12 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         const double t = bench::median_time(
             [&] { autovec_fma_range<T, N>(alpha, xp, yp, 0, n); });
         report(out, "axpy", type_name, N, "autovec", 0, t, double(n));
-        for (simd::Backend b : available_backends()) {
-            simd::set_backend(b);
-            const double tb =
-                bench::median_time([&] { planar::axpy(alpha, x, y); });
-            report(out, "axpy", type_name, N, simd::backend_name(b),
-                   simd::active_width<T>(), tb, double(n));
-        }
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
+            const double tb = bench::median_time(
+                [&] { simd::kernels::fma_range<T, N, W>(alpha, xp, yp, 0, n); });
+            report(out, "axpy", type_name, N, pack_kind<T, W>(), W, tb, double(n));
+        });
     }
     // DOT
     {
@@ -208,18 +208,17 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             sink = add(sink, d);
         });
         report(out, "dot", type_name, N, "autovec", 0, t, double(n));
-        for (simd::Backend b : available_backends()) {
-            simd::set_backend(b);
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
             const double tb = bench::median_time([&] {
-                const auto d = planar::dot(x, y);
+                const auto d = simd::kernels::dot<T, N, W>(xp, yp, n);
                 sink = add(sink, d);
             });
-            report(out, "dot", type_name, N, simd::backend_name(b),
-                   simd::active_width<T>(), tb, double(n));
-        }
+            report(out, "dot", type_name, N, pack_kind<T, W>(), W, tb, double(n));
+        });
         if (sink.limb[0] == T(-1)) std::printf("impossible\n");  // keep sink live
     }
-    // GEMM (untiled explicit path, per backend)
+    // GEMM (untiled explicit path, per width)
     {
         const std::size_t gn = runtime_size(48);
         const std::size_t gk = runtime_size(48);
@@ -228,20 +227,24 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         const auto a = random_planar<T, N>(gn * gk, 3);
         const auto bm = random_planar<T, N>(gk * gm, 4);
         planar::Vector<T, N> c(gn * gm);
-        const double t = bench::median_time(
-            [&] { autovec_gemm<T, N>(a, bm, c, gn, gk, gm); });
+        const double t = bench::median_time([&] {
+            sweep_gemm(a, bm, c, gn, gk, gm, [](const auto& aik, auto brow, auto crow,
+                                                std::size_t m) {
+                autovec_fma_range<T, N>(aik, brow, crow, 0, m);
+            });
+        });
         report(out, "gemm", type_name, N, "autovec", 0, t, ops);
-        for (simd::Backend b : available_backends()) {
-            simd::set_backend(b);
-            const double tb = bench::median_time(
-                [&] { planar::gemm(a, bm, c, gn, gk, gm); });
-            report(out, "gemm", type_name, N, simd::backend_name(b),
-                   simd::active_width<T>(), tb, ops);
-        }
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
+            const double tb = bench::median_time([&] {
+                sweep_gemm(a, bm, c, gn, gk, gm, [](const auto& aik, auto brow, auto crow,
+                                                    std::size_t m) {
+                    simd::kernels::fma_range<T, N, W>(aik, brow, crow, 0, m);
+                });
+            });
+            report(out, "gemm", type_name, N, pack_kind<T, W>(), W, tb, ops);
+        });
     }
-    // Leave the widest backend active for whoever runs next.
-    const auto avail = available_backends();
-    simd::set_backend(avail.back());
 }
 
 }  // namespace
@@ -252,8 +255,7 @@ int main(int argc, char** argv) {
     out.bench = "simd_planar";
     std::printf("Explicit SIMD vs auto-vectorized planar kernels on %s\n",
                 bench::cpu_name().c_str());
-    std::printf("startup backend: %s\n",
-                simd::backend_name(simd::active_backend()));
+    std::printf("native ISA: %s\n", simd::native_isa);
     run_type<double, 2>(out, "double");
     run_type<double, 3>(out, "double");
     run_type<double, 4>(out, "double");

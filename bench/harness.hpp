@@ -112,8 +112,9 @@ struct JsonRecord {
     std::string kernel;   // "axpy", "dot", "gemm", ...
     std::string type;     // "double", "float"
     int limbs = 0;        // expansion length N
-    std::string backend;  // "scalar" | "sse2" | "avx2" | "avx512" | "neon"
-                          // | "autovec" (pre-SIMD compiler-vectorized path)
+    std::string backend;  // simd::native_isa, or in bench_simd the pack kind:
+                          // "scalar" | "intrinsic" | "generic" | "autovec"
+                          // (pre-SIMD compiler-vectorized path)
     int width = 0;        // pack lanes (0 for autovec)
     double ns_per_op = 0.0;
     double gflops_equiv = 0.0;

@@ -17,18 +17,18 @@
 //       jr over nc in NR cols   packed-B micro-panel   (L1-resident)
 //        ir over mc in MR rows  register micro-kernel  (microkernel.hpp)
 //
-// Block sizes mc/kc/nc are selected per detected backend at dispatch time
-// (auto_blocks below; pack width and expansion length set the micro-tile
-// footprint) and can be pinned via GemmConfig for experiments. plan_gemm
-// then fits the row partition to the call: small calls run serially, and
-// an auto mc shrinks so every planned worker owns a row block.
+// Block sizes mc/kc/nc are selected per pack width and expansion length
+// (auto_blocks below; both set the micro-tile footprint) and can be pinned
+// via GemmConfig for experiments. plan_gemm then fits the row partition to
+// the call: small calls run serially, and an auto mc shrinks so every
+// planned worker owns a row block.
 //
 // Determinism/bit-identity: the pc loop ascends and the micro-kernel ascends
 // kk within each pc block, so every C element sees its k updates in exactly
 // planar::gemm's order, each update being the identical add(mul(.,.),.)
 // FPAN sequence; macro-panels partition whole C row blocks per worker
 // (owner-computes, threading.hpp), so no element is touched by two threads.
-// Result: bit-identical to sequential planar::gemm for every backend and
+// Result: bit-identical to sequential planar::gemm for every pack width and
 // thread count -- enforced by check::diff_gemm_packed and the fuzz-smoke
 // conformance tier.
 
@@ -39,7 +39,7 @@
 #include <type_traits>
 
 #include "../../guard/guard.hpp"
-#include "../../simd/dispatch.hpp"
+#include "../../simd/kernels.hpp"
 #include "../../telemetry/events.hpp"
 #include "../planar.hpp"
 #include "../views.hpp"
@@ -49,7 +49,7 @@
 
 namespace mf::blas {
 
-/// Cache-block sizes for gemm_packed; 0 = select per detected backend.
+/// Cache-block sizes for gemm_packed; 0 = select per pack width.
 struct BlockShape {
     std::size_t mc = 0;  ///< rows of a packed A block (L2 target)
     std::size_t kc = 0;  ///< k-extent of packed A/B blocks (L1 target)
@@ -58,14 +58,14 @@ struct BlockShape {
 
 /// Execution knobs for gemm_packed.
 struct GemmConfig {
-    BlockShape blocks{};  ///< 0-fields auto-selected per backend
+    BlockShape blocks{};  ///< 0-fields auto-selected per pack width
     unsigned max_threads = 0;  ///< worker cap; 0 = runtime default, 1 = serial
 };
 
 namespace engine {
 
-/// Fill the zero fields of `req` with per-backend defaults. The micro-tile
-/// geometry (mr x nr, from the active pack width W and expansion length N)
+/// Fill the zero fields of `req` with per-width defaults. The micro-tile
+/// geometry (mr x nr, from the pack width W and expansion length N)
 /// sets the footprints: kc so a packed B micro-panel (kc x nr x N limbs)
 /// stays L1-resident under the A rows streaming through, mc so the packed A
 /// block (mc x kc) stays L2-resident, nc so the packed B panel (kc x nc)
@@ -146,18 +146,15 @@ namespace detail {
 /// updates kk-ascending and every update is the same lane-independent FPAN
 /// sequence -- which is why the engine may switch to it when panel scratch
 /// cannot be allocated without changing a single result bit.
-template <FloatingPoint T, int N>
+template <FloatingPoint T, int N, int W>
 void gemm_unpacked(const ConstMatrixView<MultiFloat<T, N>>& a,
                    const ConstMatrixView<MultiFloat<T, N>>& b,
                    const MatrixView<MultiFloat<T, N>>& c) {
-    simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < c.rows; ++i) {
-            for (std::size_t kk = 0; kk < a.cols; ++kk) {
-                simd::kernels::axpy_aos<T, N, w()>(a(i, kk), b.row(kk), c.row(i),
-                                                   c.cols);
-            }
+    for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t kk = 0; kk < a.cols; ++kk) {
+            simd::kernels::axpy_aos<T, N, W>(a(i, kk), b.row(kk), c.row(i), c.cols);
         }
-    });
+    }
 }
 
 /// Run f(tile, ldc) on the (rows x cols) micro-tile of C at (i, j), where
@@ -195,9 +192,11 @@ MF_ALWAYS_INLINE void on_c_tile(const MatrixView<MultiFloat<T, N>>& c, std::size
     }
 }
 
-/// C += A B through packed panels and the register-blocked micro-kernel,
-/// for planar or AoS views (A, B and C in the same layout). No sentinel:
-/// the public entry points (gemm_packed, blas::gemm) carry one each.
+/// C += A B through packed panels and the register-blocked micro-kernel at
+/// pack width W, for planar or AoS views (A, B and C in the same layout).
+/// No sentinel: the public entry points (gemm_packed, blas::gemm) carry one
+/// each and run the build's native width; check::diff_gemm_packed runs
+/// every width.
 ///
 /// ALL panel scratch -- the shared B panel plus one A block per worker slot
 /// -- is reserved before any C element is written, and reservation failure
@@ -206,93 +205,89 @@ MF_ALWAYS_INLINE void on_c_tile(const MatrixView<MultiFloat<T, N>>& c, std::size
 /// "alloc"}). After the up-front reserve, the
 /// in-loop ensure() calls are guaranteed allocation-free: every block
 /// extent is bounded by the reserved worst case.
-template <FloatingPoint T, int N, typename AView, typename CView>
+template <FloatingPoint T, int N, int W, typename AView, typename CView>
 void gemm(const AView& a, const AView& b, const CView& c, const GemmConfig& cfg) {
     const std::size_t n = c.rows;
     const std::size_t m = c.cols;
     const std::size_t k = a.cols;
     if (n == 0 || m == 0 || k == 0) return;
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"gemm_packed\"}", n * m * k);
-    // One backend resolve per call; everything below runs width-templated.
-    simd::with_active_width<T>([&](auto w) {
-        constexpr int W = w();
-        using MK = MicroKernel<T, N, W>;
-        const GemmPlan plan = plan_gemm<T, N, W>(n, m, k, cfg);
-        const BlockShape& bs = plan.blocks;
-        MF_TELEM_HIST("mf_gemm_workers", plan.workers);
-        AlignedBuffer<T> bbuf;
-        std::unique_ptr<AlignedBuffer<T>[]> abufs;
-        try {
-            // Reserve the worst-case panel footprint up front: the shared B
-            // panel and one A block per worker slot. C is untouched until
-            // this succeeds, so a bad_alloc here (real or injected) can
-            // still choose a different execution strategy.
-            abufs.reset(new AlignedBuffer<T>[plan.workers]);
-            bbuf.ensure(static_cast<std::size_t>(N) * std::min(bs.kc, k) *
-                        std::min(bs.nc, m));
-            for (unsigned s = 0; s < plan.workers; ++s) {
-                abufs[s].ensure(static_cast<std::size_t>(N) *
-                                std::min(bs.mc, n) * std::min(bs.kc, k));
-            }
-        } catch (const std::bad_alloc&) {
-            MF_TELEM_COUNT_N("mf_guard_degraded_total{path=\"alloc\"}", 1);
-            if constexpr (std::is_same_v<CView, planar::MatrixView<T, N>>) {
-                planar::gemm<T, N>(a, b, c);
-            } else {
-                gemm_unpacked<T, N>(a, b, c);
-            }
-            return;
+    using MK = MicroKernel<T, N, W>;
+    const GemmPlan plan = plan_gemm<T, N, W>(n, m, k, cfg);
+    const BlockShape& bs = plan.blocks;
+    MF_TELEM_HIST("mf_gemm_workers", plan.workers);
+    AlignedBuffer<T> bbuf;
+    std::unique_ptr<AlignedBuffer<T>[]> abufs;
+    try {
+        // Reserve the worst-case panel footprint up front: the shared B
+        // panel and one A block per worker slot. C is untouched until
+        // this succeeds, so a bad_alloc here (real or injected) can
+        // still choose a different execution strategy.
+        abufs.reset(new AlignedBuffer<T>[plan.workers]);
+        bbuf.ensure(static_cast<std::size_t>(N) * std::min(bs.kc, k) *
+                    std::min(bs.nc, m));
+        for (unsigned s = 0; s < plan.workers; ++s) {
+            abufs[s].ensure(static_cast<std::size_t>(N) *
+                            std::min(bs.mc, n) * std::min(bs.kc, k));
         }
-        const T* bpk[N];
-        for (std::size_t jc = 0; jc < m; jc += bs.nc) {
-            const std::size_t ncb = std::min(bs.nc, m - jc);
-            for (std::size_t pc = 0; pc < k; pc += bs.kc) {
-                const std::size_t kcb = std::min(bs.kc, k - pc);
-                // Packed once, read-only for every worker of the ic loop.
-                pack_b<T, N>(b, pc, jc, kcb, ncb, bbuf, bpk);
-                // Fault-injection checkpoint: a mid-call environment flip
-                // lands here; the sentinel's exit probe must notice it.
-                guard::inject::maybe_perturb_env();
-                parallel_blocks_slots(
-                    plan.nblocks,
-                    [&](std::size_t ib, unsigned slot) {
-                        MF_TELEM_SPAN_TIMED("gemm_macro_panel",
-                                            "mf_gemm_macro_panel_ns");
-                        const std::size_t ic = ib * bs.mc;
-                        const std::size_t mcb = std::min(bs.mc, n - ic);
-                        // Pre-reserved per-slot scratch: allocation-free.
-                        AlignedBuffer<T>& abuf = abufs[slot];
-                        const T* apk[N];
-                        pack_a<T, N>(a, ic, pc, mcb, kcb, abuf, apk);
-                        for (std::size_t jr = 0; jr < ncb; jr += MK::NR) {
-                            const std::size_t nrb = std::min<std::size_t>(
-                                static_cast<std::size_t>(MK::NR), ncb - jr);
-                            const T* bpt[N];
-                            for (int p = 0; p < N; ++p) bpt[p] = bpk[p] + jr;
-                            for (std::size_t ir = 0; ir < mcb; ir += MK::MR) {
-                                const std::size_t mrb = std::min<std::size_t>(
-                                    static_cast<std::size_t>(MK::MR), mcb - ir);
-                                const T* apt[N];
-                                for (int p = 0; p < N; ++p) apt[p] = apk[p] + ir * kcb;
-                                MF_TELEM_COUNT("mf_gemm_microkernel_total");
-                                on_c_tile<MK::MR, MK::NR>(
-                                    c, ic + ir, jc + jr, mrb, nrb,
-                                    [&](T* const (&cpt)[N], std::size_t ldc) {
-                                        if (mrb == static_cast<std::size_t>(MK::MR) &&
-                                            nrb == static_cast<std::size_t>(MK::NR)) {
-                                            MK::full(apt, kcb, bpt, ncb, cpt, ldc, kcb);
-                                        } else {
-                                            MK::edge(apt, kcb, bpt, ncb, cpt, ldc, kcb,
-                                                     mrb, nrb);
-                                        }
-                                    });
-                            }
+    } catch (const std::bad_alloc&) {
+        MF_TELEM_COUNT_N("mf_guard_degraded_total{path=\"alloc\"}", 1);
+        if constexpr (std::is_same_v<CView, planar::MatrixView<T, N>>) {
+            planar::gemm<T, N>(a, b, c);
+        } else {
+            gemm_unpacked<T, N, W>(a, b, c);
+        }
+        return;
+    }
+    const T* bpk[N];
+    for (std::size_t jc = 0; jc < m; jc += bs.nc) {
+        const std::size_t ncb = std::min(bs.nc, m - jc);
+        for (std::size_t pc = 0; pc < k; pc += bs.kc) {
+            const std::size_t kcb = std::min(bs.kc, k - pc);
+            // Packed once, read-only for every worker of the ic loop.
+            pack_b<T, N>(b, pc, jc, kcb, ncb, bbuf, bpk);
+            // Fault-injection checkpoint: a mid-call environment flip
+            // lands here; the sentinel's exit probe must notice it.
+            guard::inject::maybe_perturb_env();
+            parallel_blocks_slots(
+                plan.nblocks,
+                [&](std::size_t ib, unsigned slot) {
+                    MF_TELEM_SPAN_TIMED("gemm_macro_panel",
+                                        "mf_gemm_macro_panel_ns");
+                    const std::size_t ic = ib * bs.mc;
+                    const std::size_t mcb = std::min(bs.mc, n - ic);
+                    // Pre-reserved per-slot scratch: allocation-free.
+                    AlignedBuffer<T>& abuf = abufs[slot];
+                    const T* apk[N];
+                    pack_a<T, N>(a, ic, pc, mcb, kcb, abuf, apk);
+                    for (std::size_t jr = 0; jr < ncb; jr += MK::NR) {
+                        const std::size_t nrb = std::min<std::size_t>(
+                            static_cast<std::size_t>(MK::NR), ncb - jr);
+                        const T* bpt[N];
+                        for (int p = 0; p < N; ++p) bpt[p] = bpk[p] + jr;
+                        for (std::size_t ir = 0; ir < mcb; ir += MK::MR) {
+                            const std::size_t mrb = std::min<std::size_t>(
+                                static_cast<std::size_t>(MK::MR), mcb - ir);
+                            const T* apt[N];
+                            for (int p = 0; p < N; ++p) apt[p] = apk[p] + ir * kcb;
+                            MF_TELEM_COUNT("mf_gemm_microkernel_total");
+                            on_c_tile<MK::MR, MK::NR>(
+                                c, ic + ir, jc + jr, mrb, nrb,
+                                [&](T* const (&cpt)[N], std::size_t ldc) {
+                                    if (mrb == static_cast<std::size_t>(MK::MR) &&
+                                        nrb == static_cast<std::size_t>(MK::NR)) {
+                                        MK::full(apt, kcb, bpt, ncb, cpt, ldc, kcb);
+                                    } else {
+                                        MK::edge(apt, kcb, bpt, ncb, cpt, ldc, kcb,
+                                                 mrb, nrb);
+                                    }
+                                });
                         }
-                    },
-                    plan.threads, cfg.max_threads);
-            }
+                    }
+                },
+                plan.threads, cfg.max_threads);
         }
-    });
+    }
 }
 
 }  // namespace detail
@@ -309,7 +304,7 @@ template <FloatingPoint T, int N>
 void gemm_packed(planar::ConstMatrixView<T, N> a, planar::ConstMatrixView<T, N> b,
                  planar::MatrixView<T, N> c, const GemmConfig& cfg = {}) {
     MF_GUARD_SENTINEL("blas.gemm_packed");
-    engine::detail::gemm<T, N>(a, b, c, cfg);
+    engine::detail::gemm<T, N, simd::native_width<T>>(a, b, c, cfg);
 }
 
 /// All-mutable-view overload: template deduction cannot cross the
@@ -328,7 +323,7 @@ template <FloatingPoint T, int N>
 void gemm_packed(ConstMatrixView<MultiFloat<T, N>> a, ConstMatrixView<MultiFloat<T, N>> b,
                  MatrixView<MultiFloat<T, N>> c, const GemmConfig& cfg = {}) {
     MF_GUARD_SENTINEL("blas.gemm_packed");
-    engine::detail::gemm<T, N>(a, b, c, cfg);
+    engine::detail::gemm<T, N, simd::native_width<T>>(a, b, c, cfg);
 }
 
 }  // namespace mf::blas

@@ -14,7 +14,7 @@
 //   packed A (mc x kc):  buf[p * mc*kc + r * kc + kk]   (row-major rows)
 //   packed B (kc x nc):  buf[p * kc*nc + kk * nc + j]   (row-major rows)
 //
-// so the dispatched Pack<T, W> FPAN kernels run stride-1 loads over packed B
+// so the Pack<T, W> FPAN kernels run stride-1 loads over packed B
 // rows and packed C rows, and the per-(row, kk) A broadcast reads one scalar
 // per plane. Sources may be planar views (every copy is a contiguous row
 // segment) or AoS views of MultiFloat<T, N> (limb p of a row is read at

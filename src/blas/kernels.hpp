@@ -10,8 +10,8 @@
 // without copying.
 //
 // MultiFloat views additionally take an explicit-SIMD fast path: the loop
-// bodies run on mf::simd packs (runtime-dispatched to the widest available
-// backend, scalar tail loops for remainders) instead of relying on the
+// bodies run on mf::simd packs (at the build's native pack width, scalar
+// tail loops for remainders) instead of relying on the
 // auto-vectorizer. The `if constexpr` split keeps a single kernel entry
 // point per operation, so all existing call sites -- including ones that
 // pass the element type explicitly, e.g. dot<Float64x2>(...) -- get the
@@ -274,7 +274,8 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
     const std::size_t k = a.cols;
     if constexpr (detail::is_multilimb_v<V>) {
         for (std::size_t i = 0; i < n; ++i) std::fill_n(c.row(i), m, V{});
-        engine::detail::gemm<typename V::value_type, V::num_limbs>(a, b, c, {});
+        using T = typename V::value_type;
+        engine::detail::gemm<T, V::num_limbs, simd::native_width<T>>(a, b, c, {});
     } else {
         detail::for_ranges(n, 16, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {

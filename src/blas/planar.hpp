@@ -18,9 +18,9 @@
 // scalar kernels.
 //
 // The elementwise ranges and the dot reduction are executed by the explicit
-// pack kernels of mf::simd (runtime-dispatched to the widest available
-// backend, scalar tail loop for the remainder) instead of relying on the
-// auto-vectorizer; see src/simd/ and DESIGN.md "SIMD backend".
+// pack kernels of mf::simd (at the build's native pack width, scalar tail
+// loop for the remainder) instead of relying on the auto-vectorizer; see
+// src/simd/ and DESIGN.md "SIMD backend".
 
 #include <cstddef>
 #include <vector>
@@ -188,7 +188,8 @@ void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y)
 /// <x, y> with (at least) eight independent accumulators kept in pack lanes
 /// -- the SIMD-reduction operator the paper says competing libraries lack.
 /// For pack widths <= 8 the accumulation order matches the historical
-/// eight-accumulator loop exactly, so the result is backend-independent.
+/// eight-accumulator loop exactly, so the result is the same on every
+/// target except float on AVX-512 (W = 16, sixteen accumulators).
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> dot(const Vector<T, N>& x, const Vector<T, N>& y) {
     const T* xp[N];
@@ -211,14 +212,11 @@ void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
         ap[p] = a.plane(p);
         xp[p] = x.plane(p);
     }
-    // One backend resolve for all n row reductions.
-    simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const T* arow[N];
-            for (int p = 0; p < N; ++p) arow[p] = ap[p] + i * m;
-            y.set(i, simd::kernels::dot<T, N, w()>(arow, xp, m));
-        }
-    });
+    for (std::size_t i = 0; i < n; ++i) {
+        const T* arow[N];
+        for (int p = 0; p < N; ++p) arow[p] = ap[p] + i * m;
+        y.set(i, simd::dot<T, N>(arow, xp, m));
+    }
 }
 
 /// C += A B, all planar views (A n x k, B k x m, C n x m), ikj order: the
@@ -228,23 +226,19 @@ void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
 /// panel scratch cannot be allocated.
 template <FloatingPoint T, int N>
 void gemm(ConstMatrixView<T, N> a, ConstMatrixView<T, N> b, MatrixView<T, N> c) {
-    // Backend dispatch hoisted out of the loop nest: n*k short fma sweeps
-    // would otherwise re-resolve the active backend on every call.
-    simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < c.rows; ++i) {
-            for (std::size_t kk = 0; kk < a.cols; ++kk) {
-                const MultiFloat<T, N> aik = a.get(i, kk);
-                // c[i, :] += aik * b[kk, :]
-                const T* brow[N];
-                T* crow[N];
-                for (int p = 0; p < N; ++p) {
-                    brow[p] = b.row(p, kk);
-                    crow[p] = c.row(p, i);
-                }
-                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, c.cols);
+    for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t kk = 0; kk < a.cols; ++kk) {
+            const MultiFloat<T, N> aik = a.get(i, kk);
+            // c[i, :] += aik * b[kk, :]
+            const T* brow[N];
+            T* crow[N];
+            for (int p = 0; p < N; ++p) {
+                brow[p] = b.row(p, kk);
+                crow[p] = c.row(p, i);
             }
+            simd::fma_range<T, N>(aik, brow, crow, 0, c.cols);
         }
-    });
+    }
 }
 
 /// Positional form over whole contiguous Vectors: C (n x m) += A (n x k) B (k x m).

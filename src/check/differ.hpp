@@ -1,21 +1,25 @@
 #pragma once
-// Cross-backend differential checker: the scalar FPAN kernels are the
-// reference semantics; every compiled SIMD backend, every pack width, and
-// every parallel schedule must reproduce them bit-for-bit (DESIGN.md §8's
-// bit-exactness rationale, checked here over the same structure-aware corpus
-// the conformance runner fuzzes with).
+// Cross-width differential checker: the scalar FPAN kernels are the
+// reference semantics; every pack width and every parallel schedule must
+// reproduce them bit-for-bit (DESIGN.md §8's bit-exactness rationale,
+// checked here over the same structure-aware corpus the conformance runner
+// fuzzes with). Every build diffs every width W in {1, 2, 4, 8, 16} with
+// W * sizeof(T) <= 64 (simd::for_each_width): widths the build has
+// intrinsics for run them, the others run the portable Pack, so a runner
+// without AVX-512 still covers widths 8 and 16.
 //
 // Four surfaces are diffed:
-//   * elementwise planar kernels (add_range / fma_range) dispatched per
-//     runtime backend vs. the width-1 scalar kernel;
-//   * the dot reduction, which additionally pins the historical
-//     eight-accumulator merge order for widths <= 8;
-//   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. sequential
-//     planar::gemm across every available backend and thread count,
-//     including deliberately tiny cache blocks so pack edges are exercised;
-//   * the AoS front end of the same engine (blas::gemm and the AoS
-//     gemm_packed overload) on strided sub-views vs. planar::gemm, across
-//     the same backend x thread-cap sweep.
+//   * elementwise planar kernels (add_range / fma_range) at each width vs.
+//     the scalar MultiFloat networks;
+//   * the dot reduction vs. a scalar loop with max(8, W) accumulators, which
+//     pins the merge order: the historical eight-accumulator order for
+//     widths <= 8, sixteen accumulators at W = 16;
+//   * the packed cache-blocked GEMM engine (blas/engine) at each width vs.
+//     sequential planar::gemm across every thread count, including
+//     deliberately tiny cache blocks so pack edges are exercised;
+//   * the AoS front end of the same engine on strided sub-views vs.
+//     planar::gemm: the engine at each width, and blas::gemm itself at the
+//     native width, across the same thread-cap sweep.
 // Both GEMM surfaces are also run from inside an enclosing OpenMP parallel
 // region (a "nested" record), where the engine must plan a single worker
 // instead of forking a nested team.
@@ -28,6 +32,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../blas/engine/gemm_packed.hpp"
@@ -42,16 +47,15 @@
 
 namespace mf::check {
 
-/// One diffed (kernel, backend/schedule) combination.
+/// One diffed (kernel, width/schedule) combination.
 struct DiffRecord {
     std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_packed" |
                           ///< "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< backend name; for gemm "<backend>/threads=K"
-                          ///< (gemm_aos: + "/gemm" or "/gemm_packed") or
-                          ///< "nested"
-    int width = 0;        ///< pack lanes of the backend under test
+    std::string backend;  ///< "w<W>"; for gemm "w<W>/threads=K" (gemm_aos:
+                          ///< + "/gemm" or "/gemm_packed") or "nested"
+    int width = 0;        ///< pack lanes under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
 };
@@ -68,17 +72,28 @@ template <typename T>
     return std::bit_cast<Bits<T>>(a) == std::bit_cast<Bits<T>>(b);
 }
 
-/// RAII backend save/restore.
-class BackendGuard {
-public:
-    BackendGuard() : saved_(simd::active_backend()) {}
-    ~BackendGuard() { simd::set_backend(saved_); }
-    BackendGuard(const BackendGuard&) = delete;
-    BackendGuard& operator=(const BackendGuard&) = delete;
+/// Record label of pack width W.
+[[nodiscard]] inline std::string width_label(int w) { return "w" + std::to_string(w); }
 
-private:
-    simd::Backend saved_;
-};
+/// Scalar <x, y> with `blk` accumulators: accumulator j takes element j of
+/// every whole blk-block, the accumulators merge in order, the tail comes
+/// last. kernels::dot at width W promises this order with blk = max(8, W).
+template <std::floating_point T, int N>
+[[nodiscard]] MultiFloat<T, N> blocked_dot(const planar::Vector<T, N>& x,
+                                           const planar::Vector<T, N>& y,
+                                           std::size_t blk) {
+    const std::size_t n = x.size();
+    std::vector<MultiFloat<T, N>> part(blk);
+    for (std::size_t i = 0; i + blk <= n; i += blk) {
+        for (std::size_t j = 0; j < blk; ++j) {
+            part[j] = add(part[j], mul(x.get(i + j), y.get(i + j)));
+        }
+    }
+    MultiFloat<T, N> acc{};
+    for (const MultiFloat<T, N>& p : part) acc = add(acc, p);
+    for (std::size_t i = n - n % blk; i < n; ++i) acc = add(acc, mul(x.get(i), y.get(i)));
+    return acc;
+}
 
 template <std::floating_point T, int N>
 void fill_vectors(std::mt19937_64& rng, std::size_t n, const GenConfig& cfg,
@@ -149,94 +164,87 @@ template <typename Gemm, typename Mismatches>
 
 }  // namespace detail
 
-/// Diff every available backend's elementwise kernels and dot reduction
-/// against the scalar width-1 reference over `rounds` corpora of `n`
-/// elements each (sizes are perturbed per round to exercise tails).
-/// A non-empty `only` restricts the sweep to that one backend by name.
+/// Diff the elementwise kernels and the dot reduction at every pack width
+/// against the scalar networks over `rounds` corpora of `n` elements each
+/// (sizes are perturbed per round to exercise tails).
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_backends(std::uint64_t seed, std::size_t n,
-                                                    int rounds, const GenConfig& cfg = {},
-                                                    std::string_view only = {}) {
+                                                    int rounds, const GenConfig& cfg = {}) {
     const char* type = sizeof(T) == 8 ? "double" : "float";
     std::vector<DiffRecord> out;
-    detail::BackendGuard guard;
-    for (simd::Backend b : {simd::Backend::scalar, simd::Backend::sse2,
-                            simd::Backend::avx2, simd::Backend::avx512,
-                            simd::Backend::neon}) {
-        if (!simd::backend_available(b)) continue;
-        if (!only.empty() && only != simd::backend_name(b)) continue;
-        DiffRecord add_rec{"add_range", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
-        DiffRecord fma_rec{"fma_range", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
-        DiffRecord dot_rec{"dot", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
-        std::mt19937_64 rng(seed);  // same corpus for every backend
+    simd::for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        const std::string label = detail::width_label(W);
+        DiffRecord add_rec{"add_range", type, N, label, W, 0, 0};
+        DiffRecord fma_rec{"fma_range", type, N, label, W, 0, 0};
+        DiffRecord dot_rec{"dot", type, N, label, W, 0, 0};
+        std::mt19937_64 rng(seed);  // same corpus for every width
         for (int r = 0; r < rounds; ++r) {
             const std::size_t len = n + static_cast<std::size_t>(rng() % 17);
-            planar::Vector<T, N> x, y, y2, z_ref, z_got;
+            planar::Vector<T, N> x, y, z_ref(len), z_got(len), fma_ref(len);
             detail::fill_vectors(rng, len, cfg, x);
             detail::fill_vectors(rng, len, cfg, y);
-            const MultiFloat<T, N> alpha =
-                gen<T, N>(rng, Category::ladder, cfg);
-            z_ref.resize(len);
-            z_got.resize(len);
+            const MultiFloat<T, N> alpha = gen<T, N>(rng, Category::ladder, cfg);
+            // The reduction gets a corpus without specials: one NaN or Inf
+            // element makes the whole sum NaN, and NaN matches NaN whatever
+            // the merge order.
+            GenConfig finite = cfg;
+            finite.specials = false;
+            planar::Vector<T, N> dx, dy;
+            detail::fill_vectors(rng, len, finite, dx);
+            detail::fill_vectors(rng, len, finite, dy);
+            // Reference: the scalar networks, element by element.
+            for (std::size_t i = 0; i < len; ++i) {
+                z_ref.set(i, add(x.get(i), y.get(i)));
+                fma_ref.set(i, add(mul(alpha, x.get(i)), y.get(i)));
+            }
+            const MultiFloat<T, N> dot_ref =
+                detail::blocked_dot(dx, dy, static_cast<std::size_t>(W > 8 ? W : 8));
+
+            planar::Vector<T, N> y2 = y;
             const T* xp[N];
             const T* yp[N];
-            T* rp[N];
+            const T* dxp[N];
+            const T* dyp[N];
             T* gp[N];
+            T* y2p[N];
             for (int k = 0; k < N; ++k) {
                 xp[k] = x.plane(k);
                 yp[k] = y.plane(k);
-                rp[k] = z_ref.plane(k);
+                dxp[k] = dx.plane(k);
+                dyp[k] = dy.plane(k);
                 gp[k] = z_got.plane(k);
+                y2p[k] = y2.plane(k);
             }
-            // Reference: explicit width-1 scalar kernels.
-            simd::kernels::add_range<T, N, 1>(xp, yp, rp, 0, len);
-            const MultiFloat<T, N> dot_ref = simd::kernels::dot<T, N, 1>(xp, yp, len);
-            planar::Vector<T, N> fma_ref = y;
-            T* frp[N];
-            for (int k = 0; k < N; ++k) frp[k] = fma_ref.plane(k);
-            simd::kernels::fma_range<T, N, 1>(alpha, xp, frp, 0, len);
-
-            // Under test: the dispatched path on backend b.
-            simd::set_backend(b);
-            simd::add_range<T, N>(xp, yp, gp, 0, len);
+            simd::kernels::add_range<T, N, W>(xp, yp, gp, 0, len);
             add_rec.elements += len;
             add_rec.mismatches += detail::count_mismatches(z_ref, z_got, len);
 
-            y2 = y;
-            T* y2p[N];
-            for (int k = 0; k < N; ++k) y2p[k] = y2.plane(k);
-            simd::fma_range<T, N>(alpha, xp, y2p, 0, len);
+            simd::kernels::fma_range<T, N, W>(alpha, xp, y2p, 0, len);
             fma_rec.elements += len;
             fma_rec.mismatches += detail::count_mismatches(fma_ref, y2, len);
 
-            const MultiFloat<T, N> dot_got = simd::dot<T, N>(xp, yp, len);
+            const MultiFloat<T, N> dot_got = simd::kernels::dot<T, N, W>(dxp, dyp, len);
             ++dot_rec.elements;
-            // The eight-accumulator merge order is pinned for widths <= 8;
-            // wider backends legitimately reassociate the reduction.
-            if (simd::backend_width<T>(b) <= 8) {
-                for (int k = 0; k < N; ++k) {
-                    if (!detail::same_bits(dot_got.limb[k], dot_ref.limb[k])) {
-                        ++dot_rec.mismatches;
-                        break;
-                    }
+            for (int k = 0; k < N; ++k) {
+                if (!detail::same_bits(dot_got.limb[k], dot_ref.limb[k])) {
+                    ++dot_rec.mismatches;
+                    break;
                 }
             }
         }
         out.push_back(std::move(add_rec));
         out.push_back(std::move(fma_rec));
         out.push_back(std::move(dot_rec));
-    }
+    });
     return out;
 }
 
-/// Diff gemm_packed against sequential planar::gemm across every available
-/// backend x worker count. `blocks` pins the cache blocks -- pass deliberately
+/// Diff the packed GEMM engine against sequential planar::gemm at every pack
+/// width x worker count. `blocks` pins the cache blocks -- pass deliberately
 /// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
-/// micro-tiles; the default auto-selects per backend. Under OpenMP a final
-/// "nested" record runs the same call from inside an enclosing region.
+/// micro-tiles; the default auto-selects per width. Under OpenMP a final
+/// "nested" record runs blas::gemm_packed from inside an enclosing region.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -251,34 +259,31 @@ template <std::floating_point T, int N>
     planar::gemm(a, b, want, n, k, m);
 
     std::vector<DiffRecord> out;
-    detail::BackendGuard guard;
-    for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
-                             simd::Backend::avx2, simd::Backend::avx512,
-                             simd::Backend::neon}) {
-        if (!simd::backend_available(bk)) continue;
-        simd::set_backend(bk);
+    simd::for_each_width<T>([&](auto w) {
+        constexpr int W = w();
         for (int t : thread_counts) {
             planar::Vector<T, N> c(n * m);
             blas::GemmConfig pcfg;
             pcfg.blocks = blocks;
             pcfg.max_threads = static_cast<unsigned>(t);
-            blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                              planar::matrix_view(c, n, m), pcfg);
+            blas::engine::detail::gemm<T, N, W>(planar::matrix_view(std::as_const(a), n, k),
+                                                planar::matrix_view(std::as_const(b), k, m),
+                                                planar::matrix_view(c, n, m), pcfg);
             out.push_back(DiffRecord{
                 "gemm_packed", type, N,
-                std::string(simd::backend_name(bk)) + "/threads=" + std::to_string(t),
-                simd::backend_width<T>(bk), n * m, detail::count_mismatches(c, want, n * m)});
+                detail::width_label(W) + "/threads=" + std::to_string(t), W, n * m,
+                detail::count_mismatches(c, want, n * m)});
         }
-    }
+    });
 #if defined(_OPENMP)
-    // Nested, on the widest backend, under a 2-worker cap it would use alone.
+    // Nested, at the native width, under a 2-worker cap it would use alone.
     planar::Vector<T, N> cn[2] = {planar::Vector<T, N>(n * m),
                                   planar::Vector<T, N>(n * m)};
     blas::GemmConfig ncfg;
     ncfg.blocks = blocks;
     ncfg.max_threads = 2;
     out.push_back(detail::diff_nested(
-        DiffRecord{"gemm_packed", type, N, "nested", simd::active_width<T>(), 0, 0}, n,
+        DiffRecord{"gemm_packed", type, N, "nested", simd::native_width<T>, 0, 0}, n,
         n * m,
         [&](int id) {
             blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
@@ -289,14 +294,14 @@ template <std::floating_point T, int N>
     return out;
 }
 
-/// Diff the AoS GEMM front end against sequential planar::gemm across every
-/// available backend x thread cap. Operands are strided sub-views (row
-/// stride cols + 3) whose padding holds NaN sentinels. Each cap gets two
-/// records: "/gemm" runs blas::gemm (C <- A B over a garbage C, worker cap
-/// set through the OpenMP runtime), "/gemm_packed" the AoS gemm_packed
-/// overload (C += A B on a zeroed C, cap in GemmConfig); the nested record
-/// runs blas::gemm. A record's mismatches count wrong C elements plus
-/// clobbered padding elements.
+/// Diff the AoS GEMM front end against sequential planar::gemm at every pack
+/// width x thread cap. Operands are strided sub-views (row stride cols + 3)
+/// whose padding holds NaN sentinels. "/gemm_packed" records run the engine
+/// on the AoS views at each width (C += A B on a zeroed C, cap in
+/// GemmConfig); at the native width a "/gemm" record per cap also runs
+/// blas::gemm (C <- A B over a garbage C, worker cap set through the OpenMP
+/// runtime), and the nested record runs blas::gemm. A record's mismatches
+/// count wrong C elements plus clobbered padding elements.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_aos(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -353,45 +358,43 @@ template <std::floating_point T, int N>
     };
 
     std::vector<DiffRecord> out;
-    detail::BackendGuard guard;
 #if defined(_OPENMP)
     const int saved_threads = omp_get_max_threads();
 #endif
-    for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
-                             simd::Backend::avx2, simd::Backend::avx512,
-                             simd::Backend::neon}) {
-        if (!simd::backend_available(bk)) continue;
-        simd::set_backend(bk);
+    simd::for_each_width<T>([&](auto w) {
+        constexpr int W = w();
         for (int t : thread_counts) {
-            const std::string label = std::string(simd::backend_name(bk)) +
-                                      "/threads=" + std::to_string(t);
-            // C <- A B over garbage.
-            std::vector<V> c = fresh_c(V(T(7)));
+            const std::string label =
+                detail::width_label(W) + "/threads=" + std::to_string(t);
+            if constexpr (W == simd::native_width<T>) {
+                // C <- A B over garbage.
+                std::vector<V> c = fresh_c(V(T(7)));
 #if defined(_OPENMP)
-            omp_set_num_threads(t);
+                omp_set_num_threads(t);
 #endif
-            blas::gemm<V>(av, bv, blas::MatrixView<V>{c.data(), n, m, m + pad});
+                blas::gemm<V>(av, bv, blas::MatrixView<V>{c.data(), n, m, m + pad});
 #if defined(_OPENMP)
-            omp_set_num_threads(saved_threads);
+                omp_set_num_threads(saved_threads);
 #endif
-            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm",
-                                     simd::backend_width<T>(bk), n * m, mismatches(c)});
+                out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm", W, n * m,
+                                         mismatches(c)});
+            }
 
             // C += A B on a zeroed C, capped through GemmConfig.
             std::vector<V> cp = fresh_c(V{});
             blas::GemmConfig pcfg;
             pcfg.max_threads = static_cast<unsigned>(t);
-            blas::gemm_packed<T, N>(av, bv, blas::MatrixView<V>{cp.data(), n, m, m + pad},
-                                    pcfg);
-            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm_packed",
-                                     simd::backend_width<T>(bk), n * m, mismatches(cp)});
+            blas::engine::detail::gemm<T, N, W>(
+                av, bv, blas::MatrixView<V>{cp.data(), n, m, m + pad}, pcfg);
+            out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm_packed", W, n * m,
+                                     mismatches(cp)});
         }
-    }
+    });
 #if defined(_OPENMP)
-    // Nested, on the widest backend: blas::gemm from a user's own region.
+    // Nested, at the native width: blas::gemm from a user's own region.
     std::vector<V> cn[2] = {fresh_c(V(T(7))), fresh_c(V(T(7)))};
     out.push_back(detail::diff_nested(
-        DiffRecord{"gemm_aos", type, N, "nested", simd::active_width<T>(), 0, 0}, n,
+        DiffRecord{"gemm_aos", type, N, "nested", simd::native_width<T>, 0, 0}, n,
         n * m,
         [&](int id) {
             blas::gemm<V>(av, bv, blas::MatrixView<V>{cn[id].data(), n, m, m + pad});

@@ -18,7 +18,7 @@ namespace mf::check {
 struct ConformanceReport {
     std::uint64_t seed = 0;
     std::uint64_t iters_per_run = 0;
-    std::string backend;  ///< active SIMD backend during the run
+    std::string backend;  ///< simd::native_isa of the build
     std::vector<RunStats> runs;
     std::vector<DiffRecord> diffs;
 

@@ -11,19 +11,18 @@
 // diverge from the scalar one.
 //
 // The primary template is a portable scalar-loop fallback that works for any
-// (T, W) and is what the compiler sees when no SIMD ISA is enabled (or when
-// MF_SIMD_FORCE_SCALAR is defined). Specializations map the natural widths
-// onto SSE2, AVX/AVX2, AVX-512 and NEON intrinsics when the translation unit
-// is compiled for those ISAs. TwoProd requires a *fused* multiply-add: every
-// specialization uses the hardware FMA instruction when the ISA provides one
-// and falls back to the (correct, slower) per-lane std::fma otherwise.
+// (T, W) and is what the compiler sees when no SIMD ISA is enabled.
+// Specializations map the natural widths onto SSE2, AVX/AVX2, AVX-512 and
+// NEON intrinsics when the translation unit is compiled for those ISAs.
+// TwoProd requires a *fused* multiply-add: every specialization uses the
+// hardware FMA instruction when the ISA provides one and falls back to the
+// (correct, slower) per-lane std::fma otherwise.
 
 #include <cmath>
 #include <concepts>
 
 #include "../mf/eft.hpp"
 
-#if !defined(MF_SIMD_FORCE_SCALAR)
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #include <immintrin.h>
 #define MF_SIMD_X86 1
@@ -31,11 +30,9 @@
 #include <arm_neon.h>
 #define MF_SIMD_ARM 1
 #endif
-#endif
 
-// Which intrinsic specializations exist in this translation unit. These feed
-// the backend_compiled() predicate in backend.hpp; runtime dispatch never
-// routes to a backend whose specializations were not compiled in.
+// Which intrinsic specializations exist in this translation unit; the
+// widest one fixes the build's native pack width below.
 #if defined(MF_SIMD_X86) && defined(__SSE2__)
 #define MF_SIMD_HAVE_SSE2 1
 #else
@@ -58,6 +55,34 @@
 #endif
 
 namespace mf::simd {
+
+/// The widest ISA this build compiles intrinsic specializations for
+/// ("scalar" if none) and its register width in bytes. Every translation
+/// unit is built for one target (-march=native or the compiler's baseline),
+/// and a CPU without that target cannot run the binary at all, so the
+/// widest compiled ISA is also the widest one the running CPU has.
+#if MF_SIMD_HAVE_AVX512
+inline constexpr const char* native_isa = "avx512";
+inline constexpr int native_bytes = 64;
+#elif MF_SIMD_HAVE_AVX2
+inline constexpr const char* native_isa = "avx2";
+inline constexpr int native_bytes = 32;
+#elif MF_SIMD_HAVE_SSE2
+inline constexpr const char* native_isa = "sse2";
+inline constexpr int native_bytes = 16;
+#elif MF_SIMD_HAVE_NEON
+inline constexpr const char* native_isa = "neon";
+inline constexpr int native_bytes = 16;
+#else
+inline constexpr const char* native_isa = "scalar";
+inline constexpr int native_bytes = 0;
+#endif
+
+/// Pack width every dispatched kernel of this build runs at for base type T:
+/// lanes per native register, 1 without a SIMD ISA.
+template <std::floating_point T>
+inline constexpr int native_width =
+    native_bytes == 0 ? 1 : native_bytes / static_cast<int>(sizeof(T));
 
 /// Portable scalar-loop pack: correct for any width, on any target. The
 /// small fixed-trip loops fully unroll; with vector ISAs disabled this is

@@ -3,14 +3,13 @@
 //
 //   pack.hpp     Pack<T, W> vector value type (scalar fallback + SSE2/AVX2/
 //                AVX-512/NEON specializations); opts into mf::FloatingPoint
-//                so the FPAN networks instantiate over packs unchanged.
-//   backend.hpp  Backend enum, CPUID detection, MF_SIMD_BACKEND override,
-//                active_backend()/set_backend().
+//                so the FPAN networks instantiate over packs unchanged; the
+//                build's native_width<T> and native_isa.
 //   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS) with
 //                explicit scalar tail loops.
-//   dispatch.hpp Runtime dispatch from the active backend to the kernels.
+//   dispatch.hpp The kernels at the native width, and for_each_width to
+//                reach every other width.
 
-#include "backend.hpp"
 #include "dispatch.hpp"
 #include "kernels.hpp"
 #include "pack.hpp"

@@ -2,13 +2,12 @@
 // Build/run provenance for stamping exported artifacts: every BENCH_*.json,
 // CHECK_*.json and metrics exposition carries enough context to reproduce
 // the measurement -- which commit, which compiler, whether telemetry is
-// compiled in, how many threads, and which SIMD backend dispatch actually
-// selected at runtime.
+// compiled in, how many threads, and which SIMD ISA fixes the pack width.
 
 #include <string>
 
 #include "../guard/fp_env.hpp"
-#include "../simd/backend.hpp"
+#include "../simd/pack.hpp"
 #include "events.hpp"
 
 #if defined(_OPENMP)
@@ -30,7 +29,8 @@ struct BuildInfo {
                             ///< translation unit that stamped the record
     int threads = 1;      ///< worker threads a parallel region would use
                           ///< (1 without OpenMP)
-    std::string backend;  ///< SIMD backend active at query time
+    std::string backend;  ///< simd::native_isa: the ISA the pack width is
+                          ///< compiled for
     std::string fp_env;   ///< probed FP environment, e.g. "rn" or "rz+ftz"
                           ///< (guard::fp_env_string -- nominal is "rn")
 };
@@ -49,7 +49,7 @@ struct BuildInfo {
 #if defined(_OPENMP)
     b.threads = omp_get_max_threads();
 #endif
-    b.backend = simd::backend_name(simd::active_backend());
+    b.backend = simd::native_isa;
     b.fp_env = guard::fp_env_string();
     return b;
 }

@@ -119,8 +119,8 @@ private:
 #define MF_TELEM_COUNT(name_expr) MF_TELEM_COUNT_N(name_expr, 1)
 
 /// Counter with a runtime-computed name (labels depending on runtime values).
-/// Pays a registry lookup per call -- cold paths only (backend selection,
-/// override handling), never inside kernels.
+/// Pays a registry lookup per call -- cold paths only (guard violations),
+/// never inside kernels.
 #define MF_TELEM_COUNT_DYN(name_expr, n)                                     \
     do {                                                                     \
         if (!std::is_constant_evaluated()) {                                 \

@@ -96,7 +96,7 @@ public:
     }
 
     /// Register (or look up) a counter by full name, labels included, e.g.
-    /// "mf_simd_dispatch_total{backend=\"avx2\"}". Cold path: takes a mutex.
+    /// "mf_simd_kernel_ops_total{kernel=\"dot\"}". Cold path: takes a mutex.
     [[nodiscard]] CounterId counter(std::string_view name) {
         std::lock_guard<std::mutex> lock(mu_);
         return {intern(counter_names_, name, kMaxCounters)};

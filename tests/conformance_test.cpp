@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <set>
 
 #include "check/check.hpp"
 
@@ -106,17 +107,24 @@ TEST(Generators, SubnormalAndNearOverflowHitTheirCorners) {
     EXPECT_GT(huge, 3900);  // the lead exponent is near-overflow by construction
 }
 
-// Scalar kernels vs every compiled SIMD backend, bit-for-bit.
+// Scalar kernels vs every pack width W in {1, 2, 4, 8, 16} with
+// W * sizeof(T) <= 64, bit-for-bit, in every build.
 TEST(Differ, BackendsBitIdentical) {
     GenConfig cfg;
     cfg.specials = true;
+    std::set<int> widths;
     for (const DiffRecord& d : diff_backends<double, 2>(11, 96, 2, cfg)) {
         EXPECT_EQ(d.mismatches, 0u) << d.kernel << " on " << d.backend;
         EXPECT_GT(d.elements, 0u);
+        widths.insert(d.width);
     }
+    EXPECT_EQ(widths, (std::set<int>{1, 2, 4, 8}));
+    widths.clear();
     for (const DiffRecord& d : diff_backends<float, 3>(12, 96, 2, cfg)) {
         EXPECT_EQ(d.mismatches, 0u) << d.kernel << " on " << d.backend;
+        widths.insert(d.width);
     }
+    EXPECT_EQ(widths, (std::set<int>{1, 2, 4, 8, 16}));
 }
 
 // Fault injection: a kernel that drops its last limb must (a) be caught by

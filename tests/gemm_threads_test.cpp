@@ -4,8 +4,8 @@
 // row blocks, never a dot product, so no reduction is ever reassociated --
 // and must serialize itself when called from inside an enclosing parallel
 // region instead of oversubscribing (the "nested" record). It is swept
-// across every available SIMD backend; the AoS front end (blas::gemm) gets
-// the same sweep on strided sub-views. The L1/L2 kernels above their
+// across every pack width; the AoS front end (blas::gemm) gets the same
+// sweep on strided sub-views. The L1/L2 kernels above their
 // parallel thresholds, and the engine::parallel_blocks_slots partition they
 // share, are checked at the end.
 
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <random>
+#include <set>
 #include <vector>
 
 #if defined(_OPENMP)
@@ -27,17 +28,26 @@ namespace {
 using namespace mf;
 using namespace mf::check;
 
-// diff_gemm_packed / diff_gemm_aos sweep backends x thread counts, plus the
-// nested record under OpenMP; every record must be clean (0 mismatches
-// against sequential planar::gemm).
+// diff_gemm_packed / diff_gemm_aos sweep pack widths x thread counts, plus
+// the nested record under OpenMP; every record must be clean (0 mismatches
+// against sequential planar::gemm), and every width W in {1, 2, 4, 8, 16}
+// with W * sizeof(T) <= 64 must have run, whatever this build's native one.
 void expect_packed_clean(const std::vector<DiffRecord>& diffs) {
     ASSERT_FALSE(diffs.empty());
     bool nested_seen = false;
+    std::set<int> widths;
     for (const DiffRecord& d : diffs) {
         EXPECT_EQ(d.mismatches, 0u)
             << d.kernel << " " << d.type << " N=" << d.limbs << " [" << d.backend << "]";
-        if (d.backend.rfind("nested", 0) == 0) nested_seen = true;
+        if (d.backend.rfind("nested", 0) == 0) {
+            nested_seen = true;
+        } else {
+            widths.insert(d.width);
+        }
     }
+    const std::set<int> all =
+        diffs[0].type == "float" ? std::set<int>{1, 2, 4, 8, 16} : std::set<int>{1, 2, 4, 8};
+    EXPECT_EQ(widths, all);
 #if defined(_OPENMP)
     EXPECT_TRUE(nested_seen);
 #else

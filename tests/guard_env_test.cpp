@@ -198,20 +198,32 @@ TEST(GuardProbe, PerturbRoundTripRestoresRegister) {
 
 // Document the numerical damage: run the paper's add2/mul2 over a
 // structure-aware corpus in each hostile environment and count results that
-// differ from the round-to-nearest reference. No hard assertion on the
-// counts (they are environment-dependent facts, not contracts) -- the
+// differ from the round-to-nearest reference. The corpus is 2000
+// ladder/straddle pairs plus 2000 pairs from the subnormal category, whose
+// limbs sit in gradual underflow: without them flushing never triggers and
+// the ftz/daz rows would read 0. The counts are printed, not pinned (they
+// are environment-dependent facts), but add2 must show SOME ftz and daz
+// damage -- otherwise this test documents nothing about flushing. The
 // contract under test is that the SENTINEL catches the environment, above.
 TEST(GuardProbe, EnvDamageAdd2Mul2Documented) {
-    constexpr int kSamples = 2000;
+    constexpr int kHalf = 2000;
+    constexpr int kSamples = 2 * kHalf;
     check::GenConfig cfg;
+    check::GenConfig sub_cfg;
+    sub_cfg.subnormals = true;
     std::mt19937_64 rng(20260807);
     std::vector<MF2> xs(kSamples), ys(kSamples);
     std::vector<MF2> add_ref(kSamples), mul_ref(kSamples);
     {
         guard::ScopedFpEnv clean;
         for (int i = 0; i < kSamples; ++i) {
-            xs[i] = check::gen<double, 2>(rng, check::Category::ladder, cfg);
-            ys[i] = check::gen<double, 2>(rng, check::Category::straddle, cfg);
+            if (i < kHalf) {
+                xs[i] = check::gen<double, 2>(rng, check::Category::ladder, cfg);
+                ys[i] = check::gen<double, 2>(rng, check::Category::straddle, cfg);
+            } else {
+                xs[i] = check::gen<double, 2>(rng, check::Category::subnormal, sub_cfg);
+                ys[i] = check::gen<double, 2>(rng, check::Category::subnormal, sub_cfg);
+            }
             add_ref[i] = xs[i] + ys[i];
             mul_ref[i] = xs[i] * ys[i];
         }
@@ -226,6 +238,9 @@ TEST(GuardProbe, EnvDamageAdd2Mul2Documented) {
         }
         std::printf("  [env-damage] %-18s add2 %5d/%d diverge, mul2 %5d/%d diverge\n",
                     tag, add_div, kSamples, mul_div, kSamples);
+        if (p == Perturb::ftz || p == Perturb::daz) {
+            EXPECT_GT(add_div, 0) << tag << ": add2 shows no flush damage";
+        }
         // Under the SAME hostile environment, ScopedFpEnv (what
         // policy=enforce installs) must reproduce the reference exactly.
         guard::ScopedFpEnv clean;

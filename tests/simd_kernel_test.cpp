@@ -1,10 +1,10 @@
-// Pack-level FPAN kernels and the runtime dispatch layer: every width and
-// every available backend must be bit-for-bit identical to the scalar
-// mf::add / mf::mul kernels on the elementwise paths -- including empty,
-// sub-width, and W+-1 tail sizes and misaligned range starts -- and the
-// reductions must match the historical eight-accumulator order (widths <= 8)
-// or the exact oracle (wider). Mirrors tests/planar_test.cpp on the explicit
-// SIMD path.
+// Pack-level FPAN kernels at every pack width W in {1, 2, 4, 8, 16} with
+// W * sizeof(T) <= 64, in every build: each must be bit-for-bit identical to
+// the scalar mf::add / mf::mul kernels on the elementwise paths -- including
+// empty, sub-width, and W+-1 tail sizes and misaligned range starts -- and
+// the reductions must match the scalar loop with max(8, W) accumulators
+// (the historical eight-accumulator order for widths <= 8). Mirrors
+// tests/planar_test.cpp on the explicit SIMD path.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <random>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/kernels.hpp"
@@ -33,25 +34,6 @@ template <typename T>
 Bits<T> bits(T x) {
     return std::bit_cast<Bits<T>>(x);
 }
-
-template <typename T, typename F>
-void for_each_width(F f) {
-    f(std::integral_constant<int, 1>{});
-    f(std::integral_constant<int, 2>{});
-    f(std::integral_constant<int, 4>{});
-    f(std::integral_constant<int, 8>{});
-    if constexpr (sizeof(T) == 4) f(std::integral_constant<int, 16>{});
-}
-
-/// RAII: run a test body under one backend, restore the original after.
-class BackendGuard {
-public:
-    BackendGuard() : saved_(simd::active_backend()) {}
-    ~BackendGuard() { simd::set_backend(saved_); }
-
-private:
-    simd::Backend saved_;
-};
 
 template <typename MF>
 class SimdKernelTyped : public ::testing::Test {};
@@ -77,7 +59,7 @@ TYPED_TEST(SimdKernelTyped, AddRangeEveryWidthBitExact) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
     std::mt19937_64 rng(21);
-    for_each_width<T>([&](auto w) {
+    simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         for (std::size_t n : {std::size_t(0), std::size_t(1), std::size_t(W - 1),
                               std::size_t(W), std::size_t(W + 1),
@@ -114,7 +96,7 @@ TYPED_TEST(SimdKernelTyped, FmaRangeEveryWidthBitExact) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
     std::mt19937_64 rng(22);
-    for_each_width<T>([&](auto w) {
+    simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         const TypeParam alpha = adversarial<T, N>(rng, -2, 2);
         for (std::size_t n : {std::size_t(0), std::size_t(1), std::size_t(W - 1),
@@ -143,13 +125,12 @@ TYPED_TEST(SimdKernelTyped, FmaRangeEveryWidthBitExact) {
     });
 }
 
-/// Reference for the reduction: the historical eight-accumulator planar dot
-/// (seed planar.hpp), written out scalar. Pack widths <= 8 must reproduce it
-/// bit-for-bit.
-template <typename T, int N>
-MultiFloat<T, N> dot_ref8(const std::vector<MultiFloat<T, N>>& x,
-                          const std::vector<MultiFloat<T, N>>& y) {
-    constexpr std::size_t K = 8;
+/// Reference for the reduction, written out scalar: K accumulators, K =
+/// max(8, W). K = 8 is the historical eight-accumulator planar dot (seed
+/// planar.hpp).
+template <std::size_t K, typename T, int N>
+MultiFloat<T, N> dot_ref(const std::vector<MultiFloat<T, N>>& x,
+                         const std::vector<MultiFloat<T, N>>& y) {
     const std::size_t n = x.size();
     MultiFloat<T, N> part[K]{};
     for (std::size_t blk = 0; blk + K <= n; blk += K) {
@@ -166,9 +147,8 @@ MultiFloat<T, N> dot_ref8(const std::vector<MultiFloat<T, N>>& x,
 TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
-    constexpr int p = std::numeric_limits<T>::digits;
     std::mt19937_64 rng(23);
-    for_each_width<T>([&](auto w) {
+    simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         for (std::size_t n : {std::size_t(0), std::size_t(1), std::size_t(W + 1),
                               std::size_t(65), std::size_t(256)}) {
@@ -183,20 +163,9 @@ TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
                 yp[k] = y.plane(k);
             }
             const TypeParam got = simd::kernels::dot<T, N, W>(xp, yp, n);
-            if constexpr (W <= 8) {
-                const TypeParam want = dot_ref8(xa, ya);
-                for (int k = 0; k < N; ++k) {
-                    ASSERT_EQ(bits(got.limb[k]), bits(want.limb[k]))
-                        << "W=" << W << " n=" << n;
-                }
-            } else {
-                BigFloat want;
-                for (std::size_t i = 0; i < n; ++i) {
-                    want = want + exact(xa[i]) * exact(ya[i]);
-                }
-                if (!want.is_zero()) {
-                    MF_EXPECT_REL_BOUND(got, want, N * p - N - 16);
-                }
+            const TypeParam want = dot_ref<(W > 8 ? W : 8)>(xa, ya);
+            for (int k = 0; k < N; ++k) {
+                ASSERT_EQ(bits(got.limb[k]), bits(want.limb[k])) << "W=" << W << " n=" << n;
             }
             // AoS kernel: identical accumulator discipline, identical result.
             const TypeParam got_aos =
@@ -208,42 +177,43 @@ TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
     });
 }
 
+// The AoS axpy kernel at every width, and planar::axpy at the native width.
 TYPED_TEST(SimdKernelTyped, DispatchedAxpyBitExactOnEveryBackend) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
     std::mt19937_64 rng(24);
     const std::size_t n = 173;
-    planar::Vector<T, N> x;
+    planar::Vector<T, N> x, y;
     std::vector<TypeParam> xa, ya;
     fill(rng, n, x, xa);
-    ya.resize(n);
+    fill(rng, n, y, ya);
     const TypeParam alpha = adversarial<T, N>(rng, -2, 2);
-    BackendGuard guard;
-    for (simd::Backend b : {simd::Backend::scalar, simd::Backend::sse2,
-                            simd::Backend::avx2, simd::Backend::avx512,
-                            simd::Backend::neon}) {
-        if (!simd::set_backend(b)) continue;
-        planar::Vector<T, N> y(n);
+    std::vector<TypeParam> want(n);
+    for (std::size_t i = 0; i < n; ++i) want[i] = add(mul(alpha, xa[i]), ya[i]);
+    simd::for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        std::vector<TypeParam> got = ya;
+        simd::kernels::axpy_aos<T, N, W>(alpha, xa.data(), got.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
-            ya[i] = adversarial<T, N>(rng, -6, 6);
-            y.set(i, ya[i]);
-        }
-        planar::axpy(alpha, x, y);
-        for (std::size_t i = 0; i < n; ++i) {
-            const TypeParam want = add(mul(alpha, xa[i]), ya[i]);
-            const TypeParam got = y.get(i);
             for (int k = 0; k < N; ++k) {
-                ASSERT_EQ(bits(got.limb[k]), bits(want.limb[k]))
-                    << simd::backend_name(b) << " i=" << i;
+                ASSERT_EQ(bits(got[i].limb[k]), bits(want[i].limb[k]))
+                    << "W=" << W << " i=" << i;
             }
+        }
+    });
+    planar::axpy(alpha, x, y);
+    for (std::size_t i = 0; i < n; ++i) {
+        const TypeParam got = y.get(i);
+        for (int k = 0; k < N; ++k) {
+            ASSERT_EQ(bits(got.limb[k]), bits(want[i].limb[k])) << "planar i=" << i;
         }
     }
 }
 
 // The packed engine's cache blocks are its tiles: ragged blocks, unit
 // blocks, and blocks larger than the problem must all reproduce the
-// untiled ikj result exactly, on every backend (the only engine coverage at
-// float N = 4).
+// untiled ikj result exactly, at every pack width (the only engine coverage
+// at float N = 4).
 TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
@@ -251,7 +221,6 @@ TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
     struct Shape {
         std::size_t n, k, m;
     };
-    BackendGuard guard;
     for (const Shape sh : {Shape{13, 11, 17}, Shape{2, 2, 2}}) {
         planar::Vector<T, N> a, b;
         std::vector<TypeParam> aa, ba;
@@ -259,10 +228,8 @@ TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
         fill(rng, sh.k * sh.m, b, ba);
         planar::Vector<T, N> want(sh.n * sh.m);
         planar::gemm(a, b, want, sh.n, sh.k, sh.m);
-        for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
-                                 simd::Backend::avx2, simd::Backend::avx512,
-                                 simd::Backend::neon}) {
-            if (!simd::set_backend(bk)) continue;
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
             for (const blas::BlockShape blocks :
                  {blas::BlockShape{4, 8, 3}, blas::BlockShape{1, 1, 1},
                   blas::BlockShape{64, 64, 512}, blas::BlockShape{13, 11, 17},
@@ -270,21 +237,22 @@ TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
                 planar::Vector<T, N> c(sh.n * sh.m);
                 blas::GemmConfig cfg;
                 cfg.blocks = blocks;
-                blas::gemm_packed(planar::matrix_view(a, sh.n, sh.k),
-                                  planar::matrix_view(b, sh.k, sh.m),
-                                  planar::matrix_view(c, sh.n, sh.m), cfg);
+                blas::engine::detail::gemm<T, N, W>(
+                    planar::matrix_view(std::as_const(a), sh.n, sh.k),
+                    planar::matrix_view(std::as_const(b), sh.k, sh.m),
+                    planar::matrix_view(c, sh.n, sh.m), cfg);
                 for (std::size_t i = 0; i < sh.n * sh.m; ++i) {
                     const TypeParam got = c.get(i);
                     const TypeParam ref = want.get(i);
                     for (int p = 0; p < N; ++p) {
                         ASSERT_EQ(bits(got.limb[p]), bits(ref.limb[p]))
-                            << simd::backend_name(bk) << " " << sh.n << "x" << sh.k
+                            << "W=" << W << " " << sh.n << "x" << sh.k
                             << "x" << sh.m << " blocks{" << blocks.mc << ","
                             << blocks.kc << "," << blocks.nc << "} i=" << i;
                     }
                 }
             }
-        }
+        });
     }
 }
 

@@ -3,10 +3,10 @@
 // arithmetic operations, and the EFT gates instantiated over packs must be
 // bit-for-bit identical to the scalar results in every lane, including for
 // special values (signed zeros, infinities, subnormals) and misaligned
-// loads. On this build the instantiated widths cover whichever intrinsic
-// specializations the compiler enabled (see MF_SIMD_HAVE_* in pack.hpp);
-// with MF_SIMD_FORCE_SCALAR they all collapse to the portable fallback and
-// the same assertions must still hold.
+// loads. Every build instantiates every width (simd::for_each_width): the
+// widths the compiler enabled intrinsics for (see MF_SIMD_HAVE_* in
+// pack.hpp) run them, the rest run the portable fallback, and the same
+// assertions hold for both.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +15,16 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "simd/simd.hpp"
+#include "telemetry/build_info.hpp"
 
 namespace {
 
+using mf::simd::for_each_width;
 using mf::simd::Pack;
 
 template <typename T>
@@ -30,16 +33,6 @@ using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
 template <typename T>
 Bits<T> bits(T x) {
     return std::bit_cast<Bits<T>>(x);
-}
-
-/// Invoke f(integral_constant<int, W>) for every width we exercise.
-template <typename T, typename F>
-void for_each_width(F f) {
-    f(std::integral_constant<int, 1>{});
-    f(std::integral_constant<int, 2>{});
-    f(std::integral_constant<int, 4>{});
-    f(std::integral_constant<int, 8>{});
-    if constexpr (sizeof(T) == 4) f(std::integral_constant<int, 16>{});
 }
 
 /// Interesting scalar values: specials plus adversarially scaled randoms.
@@ -178,41 +171,39 @@ TYPED_TEST(PackTyped, EftGatesBitExactPerLane) {
     });
 }
 
-TEST(Backend, EnumerationAndWidths) {
+// The pack width is a build constant: the widest ISA the target macros
+// enable. At that width Pack must be the intrinsic specialization -- one
+// register, aligned to all of its bytes -- and never the lane-loop template,
+// which runs the packed GEMM up to 7x slower (EXPERIMENTS.md).
+TEST(NativeWidth, MatchesTargetIsaAndIntrinsicPack) {
     using namespace mf::simd;
-    // scalar is always compiled, supported, and selectable.
-    EXPECT_TRUE(backend_available(Backend::scalar));
-    EXPECT_EQ(backend_width<double>(Backend::scalar), 1);
-    EXPECT_EQ(backend_width<float>(Backend::scalar), 1);
-    EXPECT_EQ(backend_width<double>(Backend::sse2), 2);
-    EXPECT_EQ(backend_width<double>(Backend::avx2), 4);
-    EXPECT_EQ(backend_width<double>(Backend::avx512), 8);
-    EXPECT_EQ(backend_width<float>(Backend::avx512), 16);
-    // Name round-trips.
-    for (Backend b : {Backend::scalar, Backend::sse2, Backend::avx2,
-                      Backend::avx512, Backend::neon}) {
-        Backend parsed;
-        ASSERT_TRUE(parse_backend(backend_name(b), &parsed));
-        EXPECT_EQ(parsed, b);
+#if defined(__AVX512F__)
+    constexpr int bytes = 64;
+    const std::string isa = "avx512";
+#elif defined(__AVX2__)
+    constexpr int bytes = 32;
+    const std::string isa = "avx2";
+#elif defined(__SSE2__)
+    constexpr int bytes = 16;
+    const std::string isa = "sse2";
+#elif defined(__aarch64__)
+    constexpr int bytes = 16;
+    const std::string isa = "neon";
+#else
+    constexpr int bytes = 0;
+    const std::string isa = "scalar";
+#endif
+    EXPECT_EQ(native_bytes, bytes);
+    EXPECT_EQ(native_isa, isa);
+    EXPECT_EQ(mf::telemetry::build_info().backend, isa);
+    EXPECT_EQ(native_width<double>, bytes == 0 ? 1 : bytes / 8);
+    EXPECT_EQ(native_width<float>, bytes == 0 ? 1 : bytes / 4);
+    EXPECT_EQ(active_width<double>(), native_width<double>);
+    EXPECT_EQ(active_width<float>(), native_width<float>);
+    if constexpr (bytes > 0) {
+        EXPECT_EQ(alignof(Pack<double, native_width<double>>), std::size_t{bytes});
+        EXPECT_EQ(alignof(Pack<float, native_width<float>>), std::size_t{bytes});
     }
-    Backend dummy;
-    EXPECT_FALSE(parse_backend("riscv-vector", &dummy));
-    // The startup choice is available, and set_backend round-trips through
-    // every available backend; the active width always matches the enum's.
-    const Backend initial = active_backend();
-    EXPECT_TRUE(backend_available(initial));
-    for (Backend b : {Backend::scalar, Backend::sse2, Backend::avx2,
-                      Backend::avx512, Backend::neon}) {
-        if (!backend_available(b)) {
-            EXPECT_FALSE(set_backend(b));
-            continue;
-        }
-        ASSERT_TRUE(set_backend(b));
-        EXPECT_EQ(active_backend(), b);
-        EXPECT_EQ(active_width<double>(), backend_width<double>(b));
-        EXPECT_EQ(active_width<float>(), backend_width<float>(b));
-    }
-    ASSERT_TRUE(set_backend(initial));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // end-to-end wiring through the instrumented GEMM stack.
 //
 // Each TEST runs in its own process (gtest_discover_tests), but every test
-// still calls reset() up front so counts from static initialization or
-// backend detection never leak into assertions.
+// still calls reset() up front so counts from static initialization never
+// leak into assertions.
 
 #include <gtest/gtest.h>
 
@@ -208,18 +208,14 @@ TEST(TelemetryWiring, GemmPopulatesDispatchKernelOpsAndTileCounters) {
     reg().set_trace_enabled(false);
 
     const Snapshot snap = reg().snapshot();
-    // The active backend's micro-tile grid over C, read after the snapshot
-    // (resolving the width is itself a dispatch).
-    std::size_t tiles = 0;
-    mf::simd::with_active_width<double>([&](auto w) {
-        using MK = mf::blas::engine::MicroKernel<double, 4, w()>;
-        tiles = ((n + MK::MR - 1) / MK::MR) * ((n + MK::NR - 1) / MK::NR);
-    });
-    // One dispatch resolve (hoisted out of the engine's loops), one
+    // The native width's micro-tile grid over C.
+    using MK = mf::blas::engine::MicroKernel<double, 4, mf::simd::native_width<double>>;
+    const std::size_t tiles = ((n + MK::MR - 1) / MK::MR) * ((n + MK::NR - 1) / MK::NR);
+    // No dispatch series (the pack width is a build constant), one
     // micro-kernel call per MR x NR tile, and n^3 fused multiply-add kernel
     // ops. The call is below the serial floor and n = 8 fits one
     // mc x kc x nc block, so it is exactly one macro-panel.
-    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_dispatch_total"), 1u);
+    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_dispatch_total"), 0u);
     const CounterSnap* micro = find_counter(snap, "mf_gemm_microkernel_total");
     ASSERT_NE(micro, nullptr);
     EXPECT_EQ(micro->value, tiles);
@@ -233,8 +229,8 @@ TEST(TelemetryWiring, GemmPopulatesDispatchKernelOpsAndTileCounters) {
     EXPECT_EQ(lat->count, 1u);
 
     // The AoS blas::gemm counts its work once, at the call boundary: n^3
-    // kernel ops under the engine's label and nowhere else, one dispatch
-    // resolve, and one worker-count observation (1: this call is below the
+    // kernel ops under the engine's label and nowhere else, no dispatch
+    // series, and one worker-count observation (1: this call is below the
     // serial floor).
     reg().reset();
     using MF4 = mf::MultiFloat<double, 4>;
@@ -252,7 +248,7 @@ TEST(TelemetryWiring, GemmPopulatesDispatchKernelOpsAndTileCounters) {
     ASSERT_NE(ops, nullptr);
     EXPECT_EQ(ops->value, n * n * n);
     EXPECT_EQ(sum_counters_with_prefix(aos, "mf_simd_kernel_ops_total"), n * n * n);
-    EXPECT_EQ(sum_counters_with_prefix(aos, "mf_simd_dispatch_total"), 1u);
+    EXPECT_EQ(sum_counters_with_prefix(aos, "mf_simd_dispatch_total"), 0u);
     const HistogramSnap* workers = find_hist(aos, "mf_gemm_workers");
     ASSERT_NE(workers, nullptr);
     EXPECT_EQ(workers->count, 1u);

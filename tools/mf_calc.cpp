@@ -16,7 +16,6 @@
 
 #include "guard/guard.hpp"
 #include "mf/multifloats.hpp"
-#include "simd/backend.hpp"
 #include "simd/dispatch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
         // PASS_REGULAR_EXPRESSION at the start of RPN output.
         std::printf("usage: mf_calc <rpn tokens>   e.g.  mf_calc 2 sqrt\n");
         std::printf("SIMD backend: %s (pack width %d x double, %d x float)\n",
-                    mf::simd::backend_name(mf::simd::active_backend()),
+                    mf::simd::native_isa,
                     mf::simd::active_width<double>(),
                     mf::simd::active_width<float>());
         if (!metrics_path.empty()) mf::telemetry::write_exposition(metrics_path);

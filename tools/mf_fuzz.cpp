@@ -3,13 +3,13 @@
 // Hammers the extended-precision kernels with structure-aware adversarial
 // inputs, checks every in-domain sample against the exact BigFloat oracle
 // and the paper's error-bound table, diffs the scalar kernels against every
-// compiled SIMD backend (and sequential GEMM against the packed engine,
-// threaded and nested), and emits CHECK_*.json telemetry in the
+// pack width (and sequential GEMM against the packed engine, threaded and
+// nested), and emits CHECK_*.json telemetry in the
 // BENCH_*.json style.
 //
 // Usage:
 //   mf_fuzz [--op add|sub|mul|div|sqrt|all] [--type double|float|all]
-//           [--limbs 2|3|4|all] [--iters K] [--seed S] [--backend NAME]
+//           [--limbs 2|3|4|all] [--iters K] [--seed S]
 //           [--json PATH] [--corpus FILE] [--write-corpus FILE]
 //           [--metrics PATH] [--bound-domain-only] [--no-diff] [--self-test]
 //
@@ -40,7 +40,6 @@ struct Options {
     std::string limbs = "all";
     std::uint64_t iters = 20000;
     std::uint64_t seed = 20250807;
-    std::string backend;       // restrict the differ to one backend
     std::string json_path;     // write a ConformanceReport JSON
     std::string corpus_path;   // replay this corpus before random fuzzing
     std::string write_corpus;  // append worst counterexamples here
@@ -59,7 +58,7 @@ struct Options {
 int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--op add|sub|mul|div|sqrt|all] [--type double|float|all]\n"
-                 "          [--limbs 2|3|4|all] [--iters K] [--seed S] [--backend NAME]\n"
+                 "          [--limbs 2|3|4|all] [--iters K] [--seed S]\n"
                  "          [--json PATH] [--corpus FILE] [--write-corpus FILE]\n"
                  "          [--metrics PATH] [--bound-domain-only] [--no-diff] "
                  "[--self-test]\n"
@@ -280,10 +279,6 @@ int main(int argc, char** argv) {
         } else if (a == "--seed") {
             const char* v = next();
             if (!v || !parse_u64(v, &opt.seed)) return usage(argv[0]);
-        } else if (a == "--backend") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            opt.backend = v;
         } else if (a == "--json") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -340,7 +335,7 @@ int main(int argc, char** argv) {
     ConformanceReport report;
     report.seed = opt.seed;
     report.iters_per_run = opt.iters;
-    report.backend = simd::backend_name(simd::active_backend());
+    report.backend = simd::native_isa;
     std::vector<CorpusEntry> found;
     std::vector<CorpusEntry>* out = opt.write_corpus.empty() ? nullptr : &found;
 
@@ -363,12 +358,12 @@ int main(int argc, char** argv) {
 
     if (opt.diff) {
         GenConfig cfg;  // differ corpus stays bound-domain + specials: the
-        cfg.specials = true;  // backends must agree bit-for-bit even on NaN/Inf
+        cfg.specials = true;  // widths must agree bit-for-bit even on NaN/Inf
         const int rounds = static_cast<int>(std::min<std::uint64_t>(8, 2 + opt.iters / 8192));
         const std::vector<int> threads{1, 2, 7, 16};
         if (want(opt.type, "double")) {
             if (want(opt.limbs, "2")) {
-                auto d = diff_backends<double, 2>(opt.seed, 192, rounds, cfg, opt.backend);
+                auto d = diff_backends<double, 2>(opt.seed, 192, rounds, cfg);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
                 // Packed engine: prime shapes + tiny blocks force edge
                 // micro-tiles in every dimension.
@@ -380,11 +375,11 @@ int main(int argc, char** argv) {
                 report.diffs.insert(report.diffs.end(), s.begin(), s.end());
             }
             if (want(opt.limbs, "3")) {
-                auto d = diff_backends<double, 3>(opt.seed, 192, rounds, cfg, opt.backend);
+                auto d = diff_backends<double, 3>(opt.seed, 192, rounds, cfg);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
             }
             if (want(opt.limbs, "4")) {
-                auto d = diff_backends<double, 4>(opt.seed, 192, rounds, cfg, opt.backend);
+                auto d = diff_backends<double, 4>(opt.seed, 192, rounds, cfg);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
                 auto p = diff_gemm_packed<double, 4>(opt.seed, 11, 7, 9, threads,
                                                      cfg, mf::blas::BlockShape{8, 8, 16});
@@ -395,11 +390,11 @@ int main(int argc, char** argv) {
         }
         if (want(opt.type, "float")) {
             if (want(opt.limbs, "2")) {
-                auto d = diff_backends<float, 2>(opt.seed, 192, rounds, cfg, opt.backend);
+                auto d = diff_backends<float, 2>(opt.seed, 192, rounds, cfg);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
             }
             if (want(opt.limbs, "4")) {
-                auto d = diff_backends<float, 4>(opt.seed, 192, rounds, cfg, opt.backend);
+                auto d = diff_backends<float, 4>(opt.seed, 192, rounds, cfg);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
             }
         }

@@ -27,7 +27,6 @@
 
 #include "blas/engine/gemm_packed.hpp"
 #include "blas/planar.hpp"
-#include "simd/backend.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
