@@ -9,11 +9,13 @@
 // without AVX-512 still covers widths 8 and 16.
 //
 // Four surfaces are diffed:
-//   * elementwise planar kernels (add_range / fma_range) at each width vs.
-//     the scalar MultiFloat networks;
-//   * the dot reduction vs. a scalar loop with max(8, W) accumulators, which
-//     pins the merge order: the historical eight-accumulator order for
-//     widths <= 8, sixteen accumulators at W = 16;
+//   * elementwise kernels at each width vs. the scalar MultiFloat networks:
+//     planar add_range / fma_range, and axpy_aos on AoS spans (its loads
+//     and stores transpose packs in registers);
+//   * the dot reductions (planar dot, AoS dot_aos) vs. a scalar loop with
+//     max(8, W) accumulators, which pins the merge order: the historical
+//     eight-accumulator order for widths <= 8, sixteen accumulators at
+//     W = 16;
 //   * the packed cache-blocked GEMM engine (blas/engine) at each width vs.
 //     sequential planar::gemm across every thread count, including
 //     deliberately tiny cache blocks so pack edges are exercised;
@@ -25,7 +27,11 @@
 // instead of forking a nested team.
 //
 // Comparison is raw bit identity per limb, except that any-NaN == any-NaN:
-// lanes that produce NaN must agree on NaN-ness, not on payload bits.
+// lanes that produce NaN must agree on NaN-ness, not on payload bits. So the
+// reductions and the GEMMs run on finite operands: one Inf or NaN element
+// turns a whole sum, or a whole row or column of C, into NaN, which then
+// matches whatever the order of its updates. Each GEMM surface keeps one
+// "specials" record on the caller's corpus for NaN/Inf propagation.
 
 #include <bit>
 #include <cstdint>
@@ -49,12 +55,13 @@ namespace mf::check {
 
 /// One diffed (kernel, width/schedule) combination.
 struct DiffRecord {
-    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_packed" |
-                          ///< "gemm_aos"
+    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "axpy_aos" |
+                          ///< "dot_aos" | "gemm_packed" | "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
     std::string backend;  ///< "w<W>"; for gemm "w<W>/threads=K" (gemm_aos:
-                          ///< + "/gemm" or "/gemm_packed") or "nested"
+                          ///< + "/gemm" or "/gemm_packed"), "w<W>/specials"
+                          ///< or "nested"
     int width = 0;        ///< pack lanes under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -70,6 +77,21 @@ template <typename T>
 [[nodiscard]] inline bool same_bits(T a, T b) noexcept {
     if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
     return std::bit_cast<Bits<T>>(a) == std::bit_cast<Bits<T>>(b);
+}
+
+/// Some limb of a and b differs under same_bits.
+template <std::floating_point T, int N>
+[[nodiscard]] bool differs(const MultiFloat<T, N>& a, const MultiFloat<T, N>& b) noexcept {
+    for (int k = 0; k < N; ++k) {
+        if (!same_bits(a.limb[k], b.limb[k])) return true;
+    }
+    return false;
+}
+
+/// `cfg` without specials: the corpus of the reductions and the GEMMs.
+[[nodiscard]] inline GenConfig finite(GenConfig cfg) noexcept {
+    cfg.specials = false;
+    return cfg;
 }
 
 /// Record label of pack width W.
@@ -110,17 +132,25 @@ template <std::floating_point T, int N>
                                              const planar::Vector<T, N>& b,
                                              std::size_t n) {
     std::uint64_t bad = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const MultiFloat<T, N> va = a.get(i);
-        const MultiFloat<T, N> vb = b.get(i);
-        for (int k = 0; k < N; ++k) {
-            if (!same_bits(va.limb[k], vb.limb[k])) {
-                ++bad;
-                break;
-            }
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i) bad += differs(a.get(i), b.get(i));
     return bad;
+}
+
+template <std::floating_point T, int N>
+[[nodiscard]] std::uint64_t count_mismatches(const planar::Vector<T, N>& a,
+                                             const std::vector<MultiFloat<T, N>>& b,
+                                             std::size_t n) {
+    std::uint64_t bad = 0;
+    for (std::size_t i = 0; i < n; ++i) bad += differs(a.get(i), b[i]);
+    return bad;
+}
+
+/// The elements of a planar vector as an AoS array.
+template <std::floating_point T, int N>
+[[nodiscard]] std::vector<MultiFloat<T, N>> to_aos(const planar::Vector<T, N>& v) {
+    std::vector<MultiFloat<T, N>> out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) out[i] = v.get(i);
+    return out;
 }
 
 #if defined(_OPENMP)
@@ -164,9 +194,10 @@ template <typename Gemm, typename Mismatches>
 
 }  // namespace detail
 
-/// Diff the elementwise kernels and the dot reduction at every pack width
-/// against the scalar networks over `rounds` corpora of `n` elements each
-/// (sizes are perturbed per round to exercise tails).
+/// Diff the elementwise kernels and the dot reductions, planar and AoS, at
+/// every pack width against the scalar networks over `rounds` corpora of `n`
+/// elements each (sizes are perturbed per round to exercise tails). The AoS
+/// kernels run on the same values as the planar ones.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_backends(std::uint64_t seed, std::size_t n,
                                                     int rounds, const GenConfig& cfg = {}) {
@@ -178,6 +209,8 @@ template <std::floating_point T, int N>
         DiffRecord add_rec{"add_range", type, N, label, W, 0, 0};
         DiffRecord fma_rec{"fma_range", type, N, label, W, 0, 0};
         DiffRecord dot_rec{"dot", type, N, label, W, 0, 0};
+        DiffRecord axpy_aos_rec{"axpy_aos", type, N, label, W, 0, 0};
+        DiffRecord dot_aos_rec{"dot_aos", type, N, label, W, 0, 0};
         std::mt19937_64 rng(seed);  // same corpus for every width
         for (int r = 0; r < rounds; ++r) {
             const std::size_t len = n + static_cast<std::size_t>(rng() % 17);
@@ -185,14 +218,12 @@ template <std::floating_point T, int N>
             detail::fill_vectors(rng, len, cfg, x);
             detail::fill_vectors(rng, len, cfg, y);
             const MultiFloat<T, N> alpha = gen<T, N>(rng, Category::ladder, cfg);
-            // The reduction gets a corpus without specials: one NaN or Inf
+            // The reductions get a corpus without specials: one NaN or Inf
             // element makes the whole sum NaN, and NaN matches NaN whatever
             // the merge order.
-            GenConfig finite = cfg;
-            finite.specials = false;
             planar::Vector<T, N> dx, dy;
-            detail::fill_vectors(rng, len, finite, dx);
-            detail::fill_vectors(rng, len, finite, dy);
+            detail::fill_vectors(rng, len, detail::finite(cfg), dx);
+            detail::fill_vectors(rng, len, detail::finite(cfg), dy);
             // Reference: the scalar networks, element by element.
             for (std::size_t i = 0; i < len; ++i) {
                 z_ref.set(i, add(x.get(i), y.get(i)));
@@ -226,25 +257,35 @@ template <std::floating_point T, int N>
 
             const MultiFloat<T, N> dot_got = simd::kernels::dot<T, N, W>(dxp, dyp, len);
             ++dot_rec.elements;
-            for (int k = 0; k < N; ++k) {
-                if (!detail::same_bits(dot_got.limb[k], dot_ref.limb[k])) {
-                    ++dot_rec.mismatches;
-                    break;
-                }
-            }
+            dot_rec.mismatches += detail::differs(dot_got, dot_ref);
+
+            const std::vector<MultiFloat<T, N>> xa = detail::to_aos(x);
+            std::vector<MultiFloat<T, N>> ya = detail::to_aos(y);
+            simd::kernels::axpy_aos<T, N, W>(alpha, xa.data(), ya.data(), len);
+            axpy_aos_rec.elements += len;
+            axpy_aos_rec.mismatches += detail::count_mismatches(fma_ref, ya, len);
+
+            const MultiFloat<T, N> dot_aos_got = simd::kernels::dot_aos<T, N, W>(
+                detail::to_aos(dx).data(), detail::to_aos(dy).data(), len);
+            ++dot_aos_rec.elements;
+            dot_aos_rec.mismatches += detail::differs(dot_aos_got, dot_ref);
         }
         out.push_back(std::move(add_rec));
         out.push_back(std::move(fma_rec));
         out.push_back(std::move(dot_rec));
+        out.push_back(std::move(axpy_aos_rec));
+        out.push_back(std::move(dot_aos_rec));
     });
     return out;
 }
 
 /// Diff the packed GEMM engine against sequential planar::gemm at every pack
-/// width x worker count. `blocks` pins the cache blocks -- pass deliberately
-/// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
-/// micro-tiles; the default auto-selects per width. Under OpenMP a final
-/// "nested" record runs blas::gemm_packed from inside an enclosing region.
+/// width x worker count, on finite operands. `blocks` pins the cache blocks
+/// -- pass deliberately tiny ones (e.g. {8, 8, 16}) to force many pack edges
+/// and remainder micro-tiles; the default auto-selects per width. A
+/// "specials" record reruns the native width on the `cfg` corpus with
+/// specials on (NaN/Inf propagation), and under OpenMP a final "nested"
+/// record runs blas::gemm_packed from inside an enclosing region.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -253,28 +294,47 @@ template <std::floating_point T, int N>
     const char* type = sizeof(T) == 8 ? "double" : "float";
     std::mt19937_64 rng(seed);
     planar::Vector<T, N> a, b;
-    detail::fill_vectors(rng, n * k, cfg, a);
-    detail::fill_vectors(rng, k * m, cfg, b);
+    detail::fill_vectors(rng, n * k, detail::finite(cfg), a);
+    detail::fill_vectors(rng, k * m, detail::finite(cfg), b);
     planar::Vector<T, N> want(n * m);
     planar::gemm(a, b, want, n, k, m);
+
+    // C = A B through the engine at width W under a `threads` cap: the
+    // number of elements that differ from planar::gemm's `ref`.
+    const auto run = [&]<int W>(const planar::Vector<T, N>& x, const planar::Vector<T, N>& y,
+                                const planar::Vector<T, N>& ref, int threads) {
+        planar::Vector<T, N> c(n * m);
+        blas::GemmConfig pcfg;
+        pcfg.blocks = blocks;
+        pcfg.max_threads = static_cast<unsigned>(threads);
+        blas::engine::detail::gemm<T, N, W>(planar::matrix_view(x, n, k),
+                                            planar::matrix_view(y, k, m),
+                                            planar::matrix_view(c, n, m), pcfg);
+        return detail::count_mismatches(c, ref, n * m);
+    };
 
     std::vector<DiffRecord> out;
     simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         for (int t : thread_counts) {
-            planar::Vector<T, N> c(n * m);
-            blas::GemmConfig pcfg;
-            pcfg.blocks = blocks;
-            pcfg.max_threads = static_cast<unsigned>(t);
-            blas::engine::detail::gemm<T, N, W>(planar::matrix_view(std::as_const(a), n, k),
-                                                planar::matrix_view(std::as_const(b), k, m),
-                                                planar::matrix_view(c, n, m), pcfg);
             out.push_back(DiffRecord{
                 "gemm_packed", type, N,
                 detail::width_label(W) + "/threads=" + std::to_string(t), W, n * m,
-                detail::count_mismatches(c, want, n * m)});
+                run.template operator()<W>(a, b, want, t)});
         }
     });
+    {
+        GenConfig scfg = cfg;
+        scfg.specials = true;
+        planar::Vector<T, N> sa, sb;
+        detail::fill_vectors(rng, n * k, scfg, sa);
+        detail::fill_vectors(rng, k * m, scfg, sb);
+        planar::Vector<T, N> sref(n * m);
+        planar::gemm(sa, sb, sref, n, k, m);
+        constexpr int W = simd::native_width<T>;
+        out.push_back(DiffRecord{"gemm_packed", type, N, detail::width_label(W) + "/specials",
+                                 W, n * m, run.template operator()<W>(sa, sb, sref, 1)});
+    }
 #if defined(_OPENMP)
     // Nested, at the native width, under a 2-worker cap it would use alone.
     planar::Vector<T, N> cn[2] = {planar::Vector<T, N>(n * m),
@@ -295,13 +355,15 @@ template <std::floating_point T, int N>
 }
 
 /// Diff the AoS GEMM front end against sequential planar::gemm at every pack
-/// width x thread cap. Operands are strided sub-views (row stride cols + 3)
-/// whose padding holds NaN sentinels. "/gemm_packed" records run the engine
-/// on the AoS views at each width (C += A B on a zeroed C, cap in
-/// GemmConfig); at the native width a "/gemm" record per cap also runs
-/// blas::gemm (C <- A B over a garbage C, worker cap set through the OpenMP
-/// runtime), and the nested record runs blas::gemm. A record's mismatches
-/// count wrong C elements plus clobbered padding elements.
+/// width x thread cap, on finite operands. Operands are strided sub-views
+/// (row stride cols + 3) whose padding holds NaN sentinels. "/gemm_packed"
+/// records run the engine on the AoS views at each width (C += A B on a
+/// zeroed C, cap in GemmConfig); at the native width a "/gemm" record per
+/// cap also runs blas::gemm (C <- A B over a garbage C, worker cap set
+/// through the OpenMP runtime), a "specials" record runs the engine on the
+/// `cfg` corpus with specials on, and the nested record runs blas::gemm. A
+/// record's mismatches count wrong C elements plus clobbered padding
+/// elements.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_aos(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -311,8 +373,8 @@ template <std::floating_point T, int N>
     constexpr std::size_t pad = 3;
     std::mt19937_64 rng(seed);
     planar::Vector<T, N> a, b;
-    detail::fill_vectors(rng, n * k, cfg, a);
-    detail::fill_vectors(rng, k * m, cfg, b);
+    detail::fill_vectors(rng, n * k, detail::finite(cfg), a);
+    detail::fill_vectors(rng, k * m, detail::finite(cfg), b);
     planar::Vector<T, N> want(n * m);
     planar::gemm(a, b, want, n, k, m);
 
@@ -331,18 +393,12 @@ template <std::floating_point T, int N>
     const std::vector<V> bs = strided(b, k, m);
     const blas::ConstMatrixView<V> av{as.data(), n, k, k + pad};
     const blas::ConstMatrixView<V> bv{bs.data(), k, m, m + pad};
-    const auto mismatches = [&](const std::vector<V>& c) {
+    const auto mismatches = [&](const std::vector<V>& c, const planar::Vector<T, N>& ref) {
         std::uint64_t bad = 0;
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = 0; j < m + pad; ++j) {
-                const V got = c[i * (m + pad) + j];
-                const V ref = j < m ? want.get(i * m + j) : sentinel;
-                for (int p = 0; p < N; ++p) {
-                    if (!detail::same_bits(got.limb[p], ref.limb[p])) {
-                        ++bad;
-                        break;
-                    }
-                }
+                bad += detail::differs(c[i * (m + pad) + j],
+                                       j < m ? ref.get(i * m + j) : sentinel);
             }
         }
         return bad;
@@ -354,6 +410,18 @@ template <std::floating_point T, int N>
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = 0; j < m; ++j) c[i * (m + pad) + j] = fill;
         }
+        return c;
+    };
+
+    // C += A B through the engine at width W on a zeroed strided C, capped
+    // at `threads` through GemmConfig.
+    const auto packed = [&]<int W>(blas::ConstMatrixView<V> x, blas::ConstMatrixView<V> y,
+                                   int threads) {
+        std::vector<V> c = fresh_c(V{});
+        blas::GemmConfig pcfg;
+        pcfg.max_threads = static_cast<unsigned>(threads);
+        blas::engine::detail::gemm<T, N, W>(x, y, blas::MatrixView<V>{c.data(), n, m, m + pad},
+                                            pcfg);
         return c;
     };
 
@@ -377,19 +445,29 @@ template <std::floating_point T, int N>
                 omp_set_num_threads(saved_threads);
 #endif
                 out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm", W, n * m,
-                                         mismatches(c)});
+                                         mismatches(c, want)});
             }
 
-            // C += A B on a zeroed C, capped through GemmConfig.
-            std::vector<V> cp = fresh_c(V{});
-            blas::GemmConfig pcfg;
-            pcfg.max_threads = static_cast<unsigned>(t);
-            blas::engine::detail::gemm<T, N, W>(
-                av, bv, blas::MatrixView<V>{cp.data(), n, m, m + pad}, pcfg);
             out.push_back(DiffRecord{"gemm_aos", type, N, label + "/gemm_packed", W, n * m,
-                                     mismatches(cp)});
+                                     mismatches(packed.template operator()<W>(av, bv, t), want)});
         }
     });
+    {
+        GenConfig scfg = cfg;
+        scfg.specials = true;
+        planar::Vector<T, N> sa, sb;
+        detail::fill_vectors(rng, n * k, scfg, sa);
+        detail::fill_vectors(rng, k * m, scfg, sb);
+        planar::Vector<T, N> sref(n * m);
+        planar::gemm(sa, sb, sref, n, k, m);
+        const std::vector<V> sas = strided(sa, n, k);
+        const std::vector<V> sbs = strided(sb, k, m);
+        constexpr int W = simd::native_width<T>;
+        const std::vector<V> c = packed.template operator()<W>(
+            {sas.data(), n, k, k + pad}, {sbs.data(), k, m, m + pad}, 1);
+        out.push_back(DiffRecord{"gemm_aos", type, N, detail::width_label(W) + "/specials", W,
+                                 n * m, mismatches(c, sref)});
+    }
 #if defined(_OPENMP)
     // Nested, at the native width: blas::gemm from a user's own region.
     std::vector<V> cn[2] = {fresh_c(V(T(7))), fresh_c(V(T(7)))};
@@ -399,7 +477,7 @@ template <std::floating_point T, int N>
         [&](int id) {
             blas::gemm<V>(av, bv, blas::MatrixView<V>{cn[id].data(), n, m, m + pad});
         },
-        [&](int id) { return mismatches(cn[id]); }));
+        [&](int id) { return mismatches(cn[id], want); }));
 #endif
     return out;
 }

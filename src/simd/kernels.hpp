@@ -11,9 +11,10 @@
 //  * planar (SoA) raw plane pointers, as used by mf::planar::Vector -- packs
 //    load W consecutive elements of one limb with a single unaligned load;
 //  * AoS spans of MultiFloat<T, N>, as used by mf::blas -- limbs are
-//    interleaved, so packs are filled through a small per-lane transpose
-//    buffer. The networks cost dozens to hundreds of flops per element, so
-//    the transpose overhead amortizes and the SIMD win survives.
+//    interleaved, so W elements are read with N full-width loads and
+//    transposed into N limb packs by in-register lane permutes (and back
+//    for stores; simd::load_aos / store_aos in pack.hpp). Only data moves:
+//    the lanes run the same networks on the same limbs as the planar path.
 
 #include <cstddef>
 
@@ -46,27 +47,21 @@ MF_ALWAYS_INLINE MultiFloat<P, N> broadcast(const MultiFloat<T, N>& x) noexcept 
     return r;
 }
 
-/// Transpose W consecutive AoS elements into a pack MultiFloat.
+/// Transpose W consecutive AoS elements into a pack MultiFloat
+/// (simd::load_aos): the W elements are W * N contiguous limbs.
 template <typename P, std::floating_point T, int N>
 MF_ALWAYS_INLINE MultiFloat<P, N> load_aos(const MultiFloat<T, N>* p) noexcept {
-    constexpr int W = P::width;
+    static_assert(sizeof(MultiFloat<T, N>) == N * sizeof(T));
     MultiFloat<P, N> r;
-    T buf[W];
-    for (int k = 0; k < N; ++k) {
-        for (int j = 0; j < W; ++j) buf[j] = p[j].limb[k];
-        r.limb[k] = P::load(buf);
-    }
+    r.limb = simd::load_aos<P, N>(p);
     return r;
 }
 
+/// Inverse of load_aos: writes exactly the W elements at p.
 template <typename P, std::floating_point T, int N>
 MF_ALWAYS_INLINE void store_aos(const MultiFloat<P, N>& v, MultiFloat<T, N>* p) noexcept {
-    constexpr int W = P::width;
-    T buf[W];
-    for (int k = 0; k < N; ++k) {
-        v.limb[k].store(buf);
-        for (int j = 0; j < W; ++j) p[j].limb[k] = buf[j];
-    }
+    static_assert(sizeof(MultiFloat<T, N>) == N * sizeof(T));
+    simd::store_aos<P, N>(v.limb, p);
 }
 
 /// Extract lane j of a pack expansion as a scalar expansion.

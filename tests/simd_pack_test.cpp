@@ -1,7 +1,8 @@
 // mf::simd::Pack: every backend's pack must be a lane-wise clone of the
-// scalar IEEE arithmetic -- load/store/broadcast round-trips, the five
-// arithmetic operations, and the EFT gates instantiated over packs must be
-// bit-for-bit identical to the scalar results in every lane, including for
+// scalar IEEE arithmetic -- load/store/broadcast and AoS-transpose
+// round-trips, the five arithmetic operations, and the EFT gates
+// instantiated over packs must be bit-for-bit identical to the scalar
+// results in every lane, including for
 // special values (signed zeros, infinities, subnormals) and misaligned
 // loads. Every build instantiates every width (simd::for_each_width): the
 // widths the compiler enabled intrinsics for (see MF_SIMD_HAVE_* in
@@ -168,6 +169,85 @@ TYPED_TEST(PackTyped, EftGatesBitExactPerLane) {
                 ASSERT_EQ(bits(ferr[j]), bits(fe)) << "fast_two_sum err W=" << W;
             }
         }
+    });
+}
+
+/// Limb bit patterns an AoS transpose must carry through untouched: quiet
+/// and signalling NaNs with payloads, signed zeros, subnormals, infinities,
+/// then random bits up to n patterns.
+template <typename T>
+std::vector<Bits<T>> limb_patterns(std::mt19937_64& rng, std::size_t n) {
+    using B = Bits<T>;
+    constexpr int mant = std::numeric_limits<T>::digits - 1;
+    constexpr B sign = B(1) << (8 * sizeof(T) - 1);
+    constexpr B inf = (sign - 1) & ~((B(1) << mant) - 1);
+    constexpr B quiet = B(1) << (mant - 1);
+    std::vector<B> v = {inf | quiet | B(5),         // quiet NaN, payload 5
+                        sign | inf | quiet | B(42),  // negative quiet NaN
+                        inf | B(1),                  // signalling NaN, payload 1
+                        sign | inf | (quiet - 1),    // signalling NaN, full payload
+                        inf,
+                        sign | inf,
+                        sign,                        // -0.0
+                        B(0),
+                        B(1),                        // denorm_min
+                        sign | (quiet | B(3)),       // negative subnormal
+                        (B(1) << mant) - 1};         // largest subnormal
+    while (v.size() < n) v.push_back(static_cast<B>(rng()));
+    return v;
+}
+
+/// W N-limb elements through kernels::load_aos then kernels::store_aos, at
+/// a base one element past the start of their arrays: every loaded lane is
+/// its element's limb, the stored elements reproduce every source bit, and
+/// the guard elements on both sides of the W stored ones keep theirs.
+template <typename T, int W, int N>
+void aos_round_trip(std::mt19937_64& rng) {
+    using P = Pack<T, W>;
+    using E = mf::MultiFloat<T, N>;
+    constexpr std::size_t guard = 2;
+    const auto pool = limb_patterns<T>(rng, 64);
+    const auto pick = [&] { return std::bit_cast<T>(pool[rng() % pool.size()]); };
+    const T guard_limb = std::bit_cast<T>(static_cast<Bits<T>>(0x5a5a5a5a5a5a5a5aull));
+    for (int rep = 0; rep < 16; ++rep) {
+        std::vector<E> src(1 + W + guard);
+        std::vector<E> dst(1 + W + guard);
+        for (E& e : src) {
+            for (int k = 0; k < N; ++k) e.limb[k] = pick();
+        }
+        for (E& e : dst) {
+            for (int k = 0; k < N; ++k) e.limb[k] = guard_limb;
+        }
+        const mf::MultiFloat<P, N> m = mf::simd::kernels::load_aos<P, T, N>(src.data() + 1);
+        for (int j = 0; j < W; ++j) {
+            for (int k = 0; k < N; ++k) {
+                ASSERT_EQ(bits(m.limb[k][j]), bits(src[1 + j].limb[k]))
+                    << "load W=" << W << " N=" << N << " lane=" << j << " limb=" << k;
+            }
+        }
+        mf::simd::kernels::store_aos<P, T, N>(m, dst.data() + 1);
+        for (std::size_t i = 0; i < dst.size(); ++i) {
+            const bool stored = i >= 1 && i < 1 + W;
+            for (int k = 0; k < N; ++k) {
+                ASSERT_EQ(bits(dst[i].limb[k]), stored ? bits(src[i].limb[k]) : bits(guard_limb))
+                    << "store W=" << W << " N=" << N << " element=" << i << " limb=" << k;
+            }
+        }
+    }
+}
+
+// The AoS transposes (simd::load_aos / store_aos) at every width and
+// N = 1..4: an in-register permute with a wrong lane index shows up here as
+// a misplaced bit pattern.
+TYPED_TEST(PackTyped, AosTransposeRoundTripEveryBit) {
+    using T = TypeParam;
+    std::mt19937_64 rng(31);
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        aos_round_trip<T, W, 1>(rng);
+        aos_round_trip<T, W, 2>(rng);
+        aos_round_trip<T, W, 3>(rng);
+        aos_round_trip<T, W, 4>(rng);
     });
 }
 

@@ -357,8 +357,11 @@ int main(int argc, char** argv) {
     }
 
     if (opt.diff) {
-        GenConfig cfg;  // differ corpus stays bound-domain + specials: the
-        cfg.specials = true;  // widths must agree bit-for-bit even on NaN/Inf
+        // Differ corpus: bound-domain + specials, so the elementwise kernels
+        // must agree bit-for-bit even on NaN/Inf. The reductions and GEMMs
+        // diff finite operands and keep NaN/Inf in their "specials" records.
+        GenConfig cfg;
+        cfg.specials = true;
         const int rounds = static_cast<int>(std::min<std::uint64_t>(8, 2 + opt.iters / 8192));
         const std::vector<int> threads{1, 2, 7, 16};
         if (want(opt.type, "double")) {
