@@ -196,7 +196,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         simd::for_each_width<T>([&](auto w) {
             constexpr int W = w();
             const double tb = bench::median_time(
-                [&] { simd::kernels::fma_range<T, N, W>(alpha, xp, yp, 0, n); });
+                [&] { simd::fma_range<T, N, W>(alpha, xp, yp, 0, n); });
             report(out, "axpy", type_name, N, pack_kind<T, W>(), W, tb, double(n));
         });
     }
@@ -211,7 +211,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         simd::for_each_width<T>([&](auto w) {
             constexpr int W = w();
             const double tb = bench::median_time([&] {
-                const auto d = simd::kernels::dot<T, N, W>(xp, yp, n);
+                const auto d = simd::dot<T, N, W>(xp, yp, n);
                 sink = add(sink, d);
             });
             report(out, "dot", type_name, N, pack_kind<T, W>(), W, tb, double(n));
@@ -239,7 +239,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             const double tb = bench::median_time([&] {
                 sweep_gemm(a, bm, c, gn, gk, gm, [](const auto& aik, auto brow, auto crow,
                                                     std::size_t m) {
-                    simd::kernels::fma_range<T, N, W>(aik, brow, crow, 0, m);
+                    simd::fma_range<T, N, W>(aik, brow, crow, 0, m);
                 });
             });
             report(out, "gemm", type_name, N, pack_kind<T, W>(), W, tb, ops);

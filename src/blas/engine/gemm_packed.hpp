@@ -152,7 +152,7 @@ void gemm_unpacked(const ConstMatrixView<MultiFloat<T, N>>& a,
                    const MatrixView<MultiFloat<T, N>>& c) {
     for (std::size_t i = 0; i < c.rows; ++i) {
         for (std::size_t kk = 0; kk < a.cols; ++kk) {
-            simd::kernels::axpy_aos<T, N, W>(a(i, kk), b.row(kk), c.row(i), c.cols);
+            simd::axpy_aos<T, N, W>(a(i, kk), b.row(kk), c.row(i), c.cols);
         }
     }
 }

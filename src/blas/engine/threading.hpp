@@ -2,9 +2,10 @@
 // Static owner-computes parallelism for mf::blas (DESIGN.md §11, §12).
 //
 // parallel_blocks_slots is the one place in mf::blas that opens a parallel
-// region. gemm_packed hands it macro-panels (contiguous mc-row blocks of C);
-// the L1/L2 kernels of kernels.hpp hand it element chunks or rows above
-// their size thresholds. Each worker owns a contiguous range of whole blocks
+// region, and only GEMM calls it: the packed engine hands it macro-panels
+// (contiguous mc-row blocks of C), the generic blas::gemm loop hands it rows
+// of C above 16 rows. The L1/L2 kernels of kernels.hpp run on the calling
+// thread. Each worker owns a contiguous range of whole blocks
 // ("owner-computes"), so every output element is written by exactly one
 // thread and its update order is untouched -- the result is bit-identical
 // to the sequential run for ANY worker count, which is what the conformance

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "../mf/multifloats.hpp"
-#include "../simd/dispatch.hpp"
+#include "../simd/kernels.hpp"
 
 namespace mf::planar {
 
@@ -155,24 +155,6 @@ template <FloatingPoint T, int N>
     return MatrixView<T, N>(v, rows, cols, stride);
 }
 
-namespace detail {
-
-/// Elementwise z = x + y over raw planes [i0, i1): W elements at a time
-/// through the pack add network, scalar tail for the remainder.
-template <FloatingPoint T, int N>
-void add_range(const T* const* xp, const T* const* yp, T* const* zp,
-               std::size_t i0, std::size_t i1) {
-    simd::add_range<T, N>(xp, yp, zp, i0, i1);
-}
-
-template <FloatingPoint T, int N>
-void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
-               std::size_t i0, std::size_t i1) {
-    simd::fma_range<T, N>(alpha, xp, yp, i0, i1);
-}
-
-}  // namespace detail
-
 /// y <- alpha * x + y.
 template <FloatingPoint T, int N>
 void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y) {
@@ -182,7 +164,7 @@ void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y)
         xp[k] = x.plane(k);
         yp[k] = y.plane(k);
     }
-    detail::fma_range<T, N>(alpha, xp, yp, 0, x.size());
+    simd::fma_range<T, N>(alpha, xp, yp, 0, x.size());
 }
 
 /// <x, y> with (at least) eight independent accumulators kept in pack lanes

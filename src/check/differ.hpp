@@ -31,7 +31,10 @@
 // reductions and the GEMMs run on finite operands: one Inf or NaN element
 // turns a whole sum, or a whole row or column of C, into NaN, which then
 // matches whatever the order of its updates. Each GEMM surface keeps one
-// "specials" record on the caller's corpus for NaN/Inf propagation.
+// "specials" record on the caller's corpus for NaN/Inf propagation, and a
+// "cancel" record per width on operands whose k-terms cancel in pairs: the
+// ladder corpus rounds the same whatever order a C element's updates come
+// in, so only near-equal, opposite-sign terms expose an update-order bug.
 
 #include <bit>
 #include <cstdint>
@@ -60,8 +63,8 @@ struct DiffRecord {
     std::string type;     ///< "double" | "float"
     int limbs = 0;
     std::string backend;  ///< "w<W>"; for gemm "w<W>/threads=K" (gemm_aos:
-                          ///< + "/gemm" or "/gemm_packed"), "w<W>/specials"
-                          ///< or "nested"
+                          ///< + "/gemm" or "/gemm_packed"), "w<W>/specials",
+                          ///< "w<W>/cancel" or "nested"
     int width = 0;        ///< pack lanes under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -99,7 +102,7 @@ template <std::floating_point T, int N>
 
 /// Scalar <x, y> with `blk` accumulators: accumulator j takes element j of
 /// every whole blk-block, the accumulators merge in order, the tail comes
-/// last. kernels::dot at width W promises this order with blk = max(8, W).
+/// last. simd::dot at width W promises this order with blk = max(8, W).
 template <std::floating_point T, int N>
 [[nodiscard]] MultiFloat<T, N> blocked_dot(const planar::Vector<T, N>& x,
                                            const planar::Vector<T, N>& y,
@@ -124,6 +127,25 @@ void fill_vectors(std::mt19937_64& rng, std::size_t n, const GenConfig& cfg,
     for (std::size_t i = 0; i < n; ++i) {
         const Category cat = pick_category(rng, cfg);
         v.set(i, gen<T, N>(rng, cat == Category::cancellation ? Category::ladder : cat, cfg));
+    }
+}
+
+/// Finite GEMM operands (A n x k, B k x m) whose k-terms cancel in pairs:
+/// B row kk + 1 repeats row kk and A(i, kk + 1) is the cancellation partner
+/// of A(i, kk), for every even kk. Each C element then sums near-equal,
+/// opposite-sign products, so its rounding depends on the order of its k
+/// updates.
+template <std::floating_point T, int N>
+void fill_cancelling(std::mt19937_64& rng, std::size_t n, std::size_t k, std::size_t m,
+                     const GenConfig& cfg, planar::Vector<T, N>& a,
+                     planar::Vector<T, N>& b) {
+    fill_vectors(rng, n * k, finite(cfg), a);
+    fill_vectors(rng, k * m, finite(cfg), b);
+    for (std::size_t kk = 0; kk + 1 < k; kk += 2) {
+        for (std::size_t i = 0; i < n; ++i) {
+            a.set(i * k + kk + 1, cancellation_partner(a.get(i * k + kk), rng));
+        }
+        for (std::size_t j = 0; j < m; ++j) b.set((kk + 1) * m + j, b.get(kk * m + j));
     }
 }
 
@@ -247,25 +269,25 @@ template <std::floating_point T, int N>
                 gp[k] = z_got.plane(k);
                 y2p[k] = y2.plane(k);
             }
-            simd::kernels::add_range<T, N, W>(xp, yp, gp, 0, len);
+            simd::add_range<T, N, W>(xp, yp, gp, 0, len);
             add_rec.elements += len;
             add_rec.mismatches += detail::count_mismatches(z_ref, z_got, len);
 
-            simd::kernels::fma_range<T, N, W>(alpha, xp, y2p, 0, len);
+            simd::fma_range<T, N, W>(alpha, xp, y2p, 0, len);
             fma_rec.elements += len;
             fma_rec.mismatches += detail::count_mismatches(fma_ref, y2, len);
 
-            const MultiFloat<T, N> dot_got = simd::kernels::dot<T, N, W>(dxp, dyp, len);
+            const MultiFloat<T, N> dot_got = simd::dot<T, N, W>(dxp, dyp, len);
             ++dot_rec.elements;
             dot_rec.mismatches += detail::differs(dot_got, dot_ref);
 
             const std::vector<MultiFloat<T, N>> xa = detail::to_aos(x);
             std::vector<MultiFloat<T, N>> ya = detail::to_aos(y);
-            simd::kernels::axpy_aos<T, N, W>(alpha, xa.data(), ya.data(), len);
+            simd::axpy_aos<T, N, W>(alpha, xa.data(), ya.data(), len);
             axpy_aos_rec.elements += len;
             axpy_aos_rec.mismatches += detail::count_mismatches(fma_ref, ya, len);
 
-            const MultiFloat<T, N> dot_aos_got = simd::kernels::dot_aos<T, N, W>(
+            const MultiFloat<T, N> dot_aos_got = simd::dot_aos<T, N, W>(
                 detail::to_aos(dx).data(), detail::to_aos(dy).data(), len);
             ++dot_aos_rec.elements;
             dot_aos_rec.mismatches += detail::differs(dot_aos_got, dot_ref);
@@ -284,7 +306,8 @@ template <std::floating_point T, int N>
 /// -- pass deliberately tiny ones (e.g. {8, 8, 16}) to force many pack edges
 /// and remainder micro-tiles; the default auto-selects per width. A
 /// "specials" record reruns the native width on the `cfg` corpus with
-/// specials on (NaN/Inf propagation), and under OpenMP a final "nested"
+/// specials on (NaN/Inf propagation), a "cancel" record per width runs one
+/// worker on fill_cancelling operands, and under OpenMP a final "nested"
 /// record runs blas::gemm_packed from inside an enclosing region.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
@@ -335,6 +358,17 @@ template <std::floating_point T, int N>
         out.push_back(DiffRecord{"gemm_packed", type, N, detail::width_label(W) + "/specials",
                                  W, n * m, run.template operator()<W>(sa, sb, sref, 1)});
     }
+    {
+        planar::Vector<T, N> ca, cb;
+        detail::fill_cancelling(rng, n, k, m, cfg, ca, cb);
+        planar::Vector<T, N> cref(n * m);
+        planar::gemm(ca, cb, cref, n, k, m);
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
+            out.push_back(DiffRecord{"gemm_packed", type, N, detail::width_label(W) + "/cancel",
+                                     W, n * m, run.template operator()<W>(ca, cb, cref, 1)});
+        });
+    }
 #if defined(_OPENMP)
     // Nested, at the native width, under a 2-worker cap it would use alone.
     planar::Vector<T, N> cn[2] = {planar::Vector<T, N>(n * m),
@@ -361,7 +395,8 @@ template <std::floating_point T, int N>
 /// zeroed C, cap in GemmConfig); at the native width a "/gemm" record per
 /// cap also runs blas::gemm (C <- A B over a garbage C, worker cap set
 /// through the OpenMP runtime), a "specials" record runs the engine on the
-/// `cfg` corpus with specials on, and the nested record runs blas::gemm. A
+/// `cfg` corpus with specials on, a "cancel" record per width runs it on
+/// fill_cancelling operands, and the nested record runs blas::gemm. A
 /// record's mismatches count wrong C elements plus clobbered padding
 /// elements.
 template <std::floating_point T, int N>
@@ -467,6 +502,21 @@ template <std::floating_point T, int N>
             {sas.data(), n, k, k + pad}, {sbs.data(), k, m, m + pad}, 1);
         out.push_back(DiffRecord{"gemm_aos", type, N, detail::width_label(W) + "/specials", W,
                                  n * m, mismatches(c, sref)});
+    }
+    {
+        planar::Vector<T, N> ca, cb;
+        detail::fill_cancelling(rng, n, k, m, cfg, ca, cb);
+        planar::Vector<T, N> cref(n * m);
+        planar::gemm(ca, cb, cref, n, k, m);
+        const std::vector<V> cas = strided(ca, n, k);
+        const std::vector<V> cbs = strided(cb, k, m);
+        simd::for_each_width<T>([&](auto w) {
+            constexpr int W = w();
+            const std::vector<V> c = packed.template operator()<W>(
+                {cas.data(), n, k, k + pad}, {cbs.data(), k, m, m + pad}, 1);
+            out.push_back(DiffRecord{"gemm_aos", type, N, detail::width_label(W) + "/cancel", W,
+                                     n * m, mismatches(c, cref)});
+        });
     }
 #if defined(_OPENMP)
     // Nested, at the native width: blas::gemm from a user's own region.

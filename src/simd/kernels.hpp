@@ -15,6 +15,13 @@
 //    transposed into N limb packs by in-register lane permutes (and back
 //    for stores; simd::load_aos / store_aos in pack.hpp). Only data moves:
 //    the lanes run the same networks on the same limbs as the planar path.
+//
+// The kernels live in mf::simd and take the pack width W as their last
+// template parameter, defaulting to the build's native_width<T>: mf::blas
+// and mf::planar call simd::dot_aos<T, N>(...) and so on, while the tests,
+// the differential checker and the benchmarks pass every other W
+// explicitly. The load/store/broadcast/lane helpers they share are in
+// mf::simd::kernels.
 
 #include <cstddef>
 
@@ -72,21 +79,25 @@ MF_ALWAYS_INLINE MultiFloat<T, N> lane(const MultiFloat<P, N>& v, int j) noexcep
     return r;
 }
 
+}  // namespace mf::simd::kernels
+
+namespace mf::simd {
+
 // ---------------------------------------------------------------------------
 // Planar (SoA) kernels
 // ---------------------------------------------------------------------------
 
 /// z[i] = x[i] + y[i] over planes, for i in [i0, i1).
-template <std::floating_point T, int N, int W>
+template <std::floating_point T, int N, int W = native_width<T>>
 void add_range(const T* const* xp, const T* const* yp, T* const* zp,
                std::size_t i0, std::size_t i1) {
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"add_range\"}", i1 - i0);
     using P = Pack<T, W>;
     std::size_t i = i0;
     for (; i + W <= i1; i += W) {
-        const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-        const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
-        store_planar<P, T, N>(add(x, y), zp, i);
+        const MultiFloat<P, N> x = kernels::load_planar<P, T, N>(xp, i);
+        const MultiFloat<P, N> y = kernels::load_planar<P, T, N>(yp, i);
+        kernels::store_planar<P, T, N>(add(x, y), zp, i);
     }
     for (; i < i1; ++i) {  // scalar tail: same network, one lane
         MultiFloat<T, N> x;
@@ -101,17 +112,17 @@ void add_range(const T* const* xp, const T* const* yp, T* const* zp,
 }
 
 /// y[i] = alpha * x[i] + y[i] over planes, for i in [i0, i1).
-template <std::floating_point T, int N, int W>
+template <std::floating_point T, int N, int W = native_width<T>>
 void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
                std::size_t i0, std::size_t i1) {
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"fma_range\"}", i1 - i0);
     using P = Pack<T, W>;
-    const MultiFloat<P, N> av = broadcast<P, T, N>(alpha);
+    const MultiFloat<P, N> av = kernels::broadcast<P, T, N>(alpha);
     std::size_t i = i0;
     for (; i + W <= i1; i += W) {
-        const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-        const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
-        store_planar<P, T, N>(add(mul(av, x), y), yp, i);
+        const MultiFloat<P, N> x = kernels::load_planar<P, T, N>(xp, i);
+        const MultiFloat<P, N> y = kernels::load_planar<P, T, N>(yp, i);
+        kernels::store_planar<P, T, N>(add(mul(av, x), y), yp, i);
     }
     for (; i < i1; ++i) {
         MultiFloat<T, N> x;
@@ -130,7 +141,7 @@ void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
 /// seed planar::dot exactly -- eight accumulators, lane j of each 8-block
 /// feeding accumulator j, final merge in lane order then a scalar tail --
 /// so the result is bit-identical to the pre-SIMD path.
-template <std::floating_point T, int N, int W>
+template <std::floating_point T, int N, int W = native_width<T>>
 [[nodiscard]] MultiFloat<T, N> dot(const T* const* xp, const T* const* yp, std::size_t n) {
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot\"}", n);
     using P = Pack<T, W>;
@@ -140,14 +151,14 @@ template <std::floating_point T, int N, int W>
     for (std::size_t blk = 0; blk + BLK <= n; blk += BLK) {
         for (std::size_t a = 0; a < A; ++a) {
             const std::size_t i = blk + a * W;
-            const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-            const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
+            const MultiFloat<P, N> x = kernels::load_planar<P, T, N>(xp, i);
+            const MultiFloat<P, N> y = kernels::load_planar<P, T, N>(yp, i);
             part[a] = add(part[a], mul(x, y));
         }
     }
     MultiFloat<T, N> acc{};
     for (std::size_t j = 0; j < BLK; ++j) {
-        acc = add(acc, lane<T, N>(part[j / W], static_cast<int>(j % W)));
+        acc = add(acc, kernels::lane<T, N>(part[j / W], static_cast<int>(j % W)));
     }
     for (std::size_t i = n - n % BLK; i < n; ++i) {
         MultiFloat<T, N> x;
@@ -166,23 +177,23 @@ template <std::floating_point T, int N, int W>
 // ---------------------------------------------------------------------------
 
 /// y[i] = alpha * x[i] + y[i] over AoS arrays of n elements.
-template <std::floating_point T, int N, int W>
+template <std::floating_point T, int N, int W = native_width<T>>
 void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
               MultiFloat<T, N>* y, std::size_t n) {
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"axpy_aos\"}", n);
     using P = Pack<T, W>;
-    const MultiFloat<P, N> av = broadcast<P, T, N>(alpha);
+    const MultiFloat<P, N> av = kernels::broadcast<P, T, N>(alpha);
     std::size_t i = 0;
     for (; i + W <= n; i += W) {
-        const MultiFloat<P, N> xv = load_aos<P, T, N>(x + i);
-        const MultiFloat<P, N> yv = load_aos<P, T, N>(y + i);
-        store_aos<P, T, N>(add(mul(av, xv), yv), y + i);
+        const MultiFloat<P, N> xv = kernels::load_aos<P, T, N>(x + i);
+        const MultiFloat<P, N> yv = kernels::load_aos<P, T, N>(y + i);
+        kernels::store_aos<P, T, N>(add(mul(av, xv), yv), y + i);
     }
     for (; i < n; ++i) y[i] = add(mul(alpha, x[i]), y[i]);
 }
 
 /// <x, y> over AoS arrays; same BLK-accumulator discipline as planar dot.
-template <std::floating_point T, int N, int W>
+template <std::floating_point T, int N, int W = native_width<T>>
 [[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
                                        const MultiFloat<T, N>* y, std::size_t n) {
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot_aos\"}", n);
@@ -193,12 +204,13 @@ template <std::floating_point T, int N, int W>
     for (std::size_t blk = 0; blk + BLK <= n; blk += BLK) {
         for (std::size_t a = 0; a < A; ++a) {
             const std::size_t i = blk + a * W;
-            part[a] = add(part[a], mul(load_aos<P, T, N>(x + i), load_aos<P, T, N>(y + i)));
+            part[a] = add(part[a], mul(kernels::load_aos<P, T, N>(x + i),
+                                       kernels::load_aos<P, T, N>(y + i)));
         }
     }
     MultiFloat<T, N> acc{};
     for (std::size_t j = 0; j < BLK; ++j) {
-        acc = add(acc, lane<T, N>(part[j / W], static_cast<int>(j % W)));
+        acc = add(acc, kernels::lane<T, N>(part[j / W], static_cast<int>(j % W)));
     }
     for (std::size_t i = n - n % BLK; i < n; ++i) {
         acc = add(acc, mul(x[i], y[i]));
@@ -206,4 +218,4 @@ template <std::floating_point T, int N, int W>
     return acc;
 }
 
-}  // namespace mf::simd::kernels
+}  // namespace mf::simd

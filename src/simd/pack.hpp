@@ -89,7 +89,7 @@ inline constexpr const char* native_isa = "scalar";
 inline constexpr int native_bytes = 0;
 #endif
 
-/// Pack width every dispatched kernel of this build runs at for base type T:
+/// Pack width the kernels of this build run at by default for base type T:
 /// lanes per native register, 1 without a SIMD ISA.
 template <std::floating_point T>
 inline constexpr int native_width =

@@ -6,8 +6,8 @@
 //                so the FPAN networks instantiate over packs unchanged; the
 //                build's native_width<T> and native_isa.
 //   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS) with
-//                explicit scalar tail loops.
-//   dispatch.hpp The kernels at the native width, and for_each_width to
+//                explicit scalar tail loops; W defaults to native_width<T>.
+//   dispatch.hpp active_width / with_active_width, and for_each_width to
 //                reach every other width.
 
 #include "dispatch.hpp"

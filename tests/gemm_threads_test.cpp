@@ -5,9 +5,9 @@
 // and must serialize itself when called from inside an enclosing parallel
 // region instead of oversubscribing (the "nested" record). It is swept
 // across every pack width; the AoS front end (blas::gemm) gets the same
-// sweep on strided sub-views. The L1/L2 kernels above their
-// parallel thresholds, and the engine::parallel_blocks_slots partition they
-// share, are checked at the end.
+// sweep on strided sub-views. The engine::parallel_blocks_slots partition,
+// and the worker-count invariance of the L1/L2 kernels (which run on the
+// calling thread) and of the generic GEMM loop, are checked at the end.
 
 #include <gtest/gtest.h>
 
@@ -184,7 +184,7 @@ TEST(GemmPacked, DegenerateShapesAreNoOps) {
     }
 }
 
-// --- The shared partition and the L1/L2 kernels --------------------------
+// --- The shared partition, the L1/L2 kernels, the generic GEMM loop -----
 
 // Every block runs exactly once, in a slot below the planned worker count
 // (the bound callers size per-slot scratch by).
@@ -278,10 +278,6 @@ TEST(BlasThreads, AxpyAndScalAboveThresholdMatchOneWorker) {
     const std::vector<V3> x = random_aos<double, 3>(71, n);
     const std::vector<V3> y0 = random_aos<double, 3>(72, n);
     const V3 alpha = random_aos<double, 3>(73, 1)[0];
-#if defined(_OPENMP)
-    with_workers(4, [] { EXPECT_EQ(blas::engine::planned_workers((n + 2047) / 2048), 4u); });
-#endif
-
     std::vector<V3> want = y0;
     simd::axpy_aos<double, 3>(alpha, x.data(), want.data(), n);
     expect_same_at_every_cap(
@@ -373,38 +369,38 @@ TEST(BlasThreads, DoubleGemmAboveThresholdMatchesOneWorker) {
         want);
 }
 
-// Threaded dot merges one partial per worker, in worker order: repeated
-// calls agree bit for bit, the result is the worker-ordered merge of
-// simd::dot_aos over the static partition, and one worker reproduces the
-// serial path.
-template <int N>
-void expect_dot_deterministic() {
-    using V = MultiFloat<double, N>;
+// blas::dot runs on the calling thread: at every worker cap it returns the
+// bits of one serial pass of the pack kernel (simd::dot_aos) over the whole
+// vector, or, for other types, of the generic eight-accumulator loop.
+template <typename V>
+void expect_dot_same_at_every_cap() {
     constexpr std::size_t n = 20000;
-    const std::vector<V> x = random_aos<double, N>(100 + N, n);
-    const std::vector<V> y = random_aos<double, N>(110 + N, n);
-    const auto dot = [&] { return blas::dot<V>(blas::view(x), blas::view(y)); };
-
-    V serial{};
-    serial += simd::dot_aos<double, N>(x.data(), y.data(), n);
-    with_workers(1, [&] { EXPECT_TRUE(same_value(dot(), serial)) << "1 worker"; });
-#if defined(_OPENMP)
-    constexpr std::size_t nw = 4;
-    V merged{};
-    for (std::size_t w = 0; w < nw; ++w) {
-        const std::size_t lo = n * w / nw, hi = n * (w + 1) / nw;
-        merged += simd::dot_aos<double, N>(x.data() + lo, y.data() + lo, hi - lo);
+    std::vector<V> x(n), y(n);
+    V want{};
+    if constexpr (std::floating_point<V>) {
+        const std::vector<MultiFloat<double, 2>> xs = random_aos<double, 2>(100, n);
+        const std::vector<MultiFloat<double, 2>> ys = random_aos<double, 2>(110, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] = xs[i].limb[0];
+            y[i] = ys[i].limb[0];
+        }
+        V part[8]{};
+        for (std::size_t i = 0; i < n; ++i) part[i % 8] += x[i] * y[i];
+        for (const V& p : part) want += p;
+    } else {
+        constexpr int N = V::num_limbs;
+        x = random_aos<double, N>(100 + N, n);
+        y = random_aos<double, N>(110 + N, n);
+        want = simd::dot_aos<double, N>(x.data(), y.data(), n);
     }
-    with_workers(static_cast<int>(nw), [&] {
-        const V first = dot();
-        EXPECT_TRUE(same_value(first, merged)) << "4 workers vs ordered merge";
-        for (int r = 0; r < 20; ++r) EXPECT_TRUE(same_value(dot(), first)) << "call " << r;
-    });
-#endif
+    expect_same_at_every_cap(
+        [&] { return std::vector<V>{blas::dot<V>(blas::view(x), blas::view(y))}; },
+        std::vector<V>{want});
 }
 
-TEST(BlasThreads, DotIsDeterministicDouble2) { expect_dot_deterministic<2>(); }
-TEST(BlasThreads, DotIsDeterministicDouble3) { expect_dot_deterministic<3>(); }
-TEST(BlasThreads, DotIsDeterministicDouble4) { expect_dot_deterministic<4>(); }
+TEST(BlasThreads, DotSameAtEveryCapDouble2) { expect_dot_same_at_every_cap<MultiFloat<double, 2>>(); }
+TEST(BlasThreads, DotSameAtEveryCapDouble3) { expect_dot_same_at_every_cap<MultiFloat<double, 3>>(); }
+TEST(BlasThreads, DotSameAtEveryCapDouble4) { expect_dot_same_at_every_cap<MultiFloat<double, 4>>(); }
+TEST(BlasThreads, DotSameAtEveryCapGenericDouble) { expect_dot_same_at_every_cap<double>(); }
 
 }  // namespace

@@ -79,7 +79,7 @@ TYPED_TEST(SimdKernelTyped, AddRangeEveryWidthBitExact) {
             }
             // Misaligned start: begin at element 1 when there is one.
             const std::size_t i0 = n > 4 ? 1 : 0;
-            simd::kernels::add_range<T, N, W>(xp, yp, zp, i0, n);
+            simd::add_range<T, N, W>(xp, yp, zp, i0, n);
             for (std::size_t i = i0; i < n; ++i) {
                 const TypeParam want = add(xa[i], ya[i]);
                 const TypeParam got = z.get(i);
@@ -112,7 +112,7 @@ TYPED_TEST(SimdKernelTyped, FmaRangeEveryWidthBitExact) {
                 xp[k] = x.plane(k);
                 yp[k] = y.plane(k);
             }
-            simd::kernels::fma_range<T, N, W>(alpha, xp, yp, 0, n);
+            simd::fma_range<T, N, W>(alpha, xp, yp, 0, n);
             for (std::size_t i = 0; i < n; ++i) {
                 const TypeParam want = add(mul(alpha, xa[i]), ya[i]);
                 const TypeParam got = y.get(i);
@@ -162,14 +162,14 @@ TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
                 xp[k] = x.plane(k);
                 yp[k] = y.plane(k);
             }
-            const TypeParam got = simd::kernels::dot<T, N, W>(xp, yp, n);
+            const TypeParam got = simd::dot<T, N, W>(xp, yp, n);
             const TypeParam want = dot_ref<(W > 8 ? W : 8)>(xa, ya);
             for (int k = 0; k < N; ++k) {
                 ASSERT_EQ(bits(got.limb[k]), bits(want.limb[k])) << "W=" << W << " n=" << n;
             }
             // AoS kernel: identical accumulator discipline, identical result.
             const TypeParam got_aos =
-                simd::kernels::dot_aos<T, N, W>(xa.data(), ya.data(), n);
+                simd::dot_aos<T, N, W>(xa.data(), ya.data(), n);
             for (int k = 0; k < N; ++k) {
                 ASSERT_EQ(bits(got_aos.limb[k]), bits(got.limb[k])) << "W=" << W;
             }
@@ -193,7 +193,7 @@ TYPED_TEST(SimdKernelTyped, DispatchedAxpyBitExactOnEveryBackend) {
     simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         std::vector<TypeParam> got = ya;
-        simd::kernels::axpy_aos<T, N, W>(alpha, xa.data(), got.data(), n);
+        simd::axpy_aos<T, N, W>(alpha, xa.data(), got.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
             for (int k = 0; k < N; ++k) {
                 ASSERT_EQ(bits(got[i].limb[k]), bits(want[i].limb[k]))
