@@ -2,9 +2,10 @@
 // Generic FPAN executor: runs a Network over any arithmetic value type that
 // models round-to-nearest-even addition/subtraction (double, float,
 // soft::SoftFloat, ...). The TwoSum / FastTwoSum gate bodies are the textbook
-// algorithms expressed through the type's own rounded +/- operators, so the
-// executor is a faithful interpreter of the branch-free straight-line code
-// the hand-inlined kernels in mf/ compile to.
+// algorithms expressed through the type's own rounded +/- operators, written
+// independently of the kernels' compile-time runner (mf/networks.hpp), so
+// the executor is the reference the consistency tests compare the kernels
+// against.
 
 #include <cassert>
 #include <span>

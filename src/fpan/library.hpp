@@ -1,25 +1,36 @@
 #pragma once
-// The paper's six FPANs (Figures 2-7) as checkable Network data, mirroring
-// gate-for-gate the hand-inlined kernels in mf/add.hpp and mf/mul.hpp.
-// tests/fpan_consistency_test.cpp verifies bit-exact agreement between the
-// two representations on randomized inputs.
+// The paper's six FPANs (Figures 2-7) as checkable Network data: copies of
+// the compile-time tables in mf/networks.hpp that the add/mul kernels run,
+// so the checked network is the shipped one. tests/fpan_consistency_test.cpp
+// runs each copy through the independent executor and compares it with the
+// kernels bit for bit.
+
+#include <string>
 
 #include "network.hpp"
 
 namespace mf::fpan {
 
-/// Addition network for n-term expansions (n = 2, 3, 4).
+/// The runtime copy of a compile-time table.
+template <std::size_t W, std::size_t G, std::size_t O>
+[[nodiscard]] Network to_network(std::string name, const Table<W, G, O>& t) {
+    return {std::move(name), static_cast<int>(W), {t.gates.begin(), t.gates.end()},
+            {t.outputs.begin(), t.outputs.end()}};
+}
+
+/// Addition network for n-term expansions (n = 2, 3, 4): add_table<n>.
 /// Wires 0..2n-1 carry the interleaved inputs [x0, y0, x1, y1, ...].
 /// n = 2 is the provably optimal Figure-2 network.
 [[nodiscard]] Network make_add_network(int n);
 
-/// Accumulation network for commutative n-term multiplication (n = 2, 3, 4).
-/// The caller performs the TwoProd expansion step; wires carry the product
-/// terms in the layout documented per-case in library.cpp.
+/// Accumulation network for commutative n-term multiplication (n = 2, 3, 4):
+/// mul_table<n>. The caller performs the TwoProd expansion step; wires carry
+/// the product terms in mul_terms<n> order.
 [[nodiscard]] Network make_mul_network(int n);
 
-/// Input wire labels matching make_mul_network(n)'s layout, for diagrams and
-/// for building the wire vector from the TwoProd expansion step.
+/// Input wire labels of make_mul_network(n) ("p01", "e00", ...), for
+/// diagrams and for building the wire vector from the TwoProd expansion
+/// step.
 [[nodiscard]] std::vector<std::string> mul_network_labels(int n);
 
 /// The naive term-by-term sum of Eq. 9 -- intentionally WRONG (degrades to

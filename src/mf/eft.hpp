@@ -99,20 +99,4 @@ template <FloatingPoint T>
     return {p, fma(a, b, -p)};
 }
 
-/// ThreeSum: error-free compression of three addends into a leading part and
-/// two error terms. Used as a convenience in multiplication networks.
-/// Returns (s0, s1, s2) with s0 + s1 + s2 == a + b + c exactly and
-/// s0 = RN(RN(a+b)+c).
-template <FloatingPoint T>
-struct TripleErr {
-    T s0, s1, s2;
-};
-
-template <FloatingPoint T>
-[[nodiscard]] constexpr TripleErr<T> three_sum(T a, T b, T c) noexcept {
-    const auto [t, e1] = two_sum(a, b);
-    const auto [s, e2] = two_sum(t, c);
-    return {s, e1, e2};
-}
-
 }  // namespace mf

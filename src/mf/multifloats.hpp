@@ -20,8 +20,8 @@
 #include "limits.hpp"
 #include "math.hpp"
 #include "mul.hpp"
+#include "networks.hpp"
 #include "poly.hpp"
 #include "multifloat.hpp"
 #include "random.hpp"
 #include "reduce.hpp"
-#include "renorm.hpp"

@@ -19,10 +19,10 @@
 // construction -- runs exactly once per site; the steady-state cost of a
 // count is a thread-local relaxed load/store pair.
 //
-// Constant-evaluation discipline: several instrumented kernels (renorm.hpp's
-// accumulate, add.hpp's networks) are constexpr. Every macro is guarded by
-// std::is_constant_evaluated(), so instrumented kernels stay usable in
-// static_asserts and constant initializers; only runtime calls count.
+// Constant-evaluation discipline: a macro may sit in a constexpr function.
+// Every macro is guarded by std::is_constant_evaluated(), so instrumented
+// code stays usable in static_asserts and constant initializers; only
+// runtime calls count.
 
 #include <cstdint>
 #include <type_traits>

@@ -12,7 +12,6 @@ namespace {
 
 using mf::big::BigFloat;
 using mf::fast_two_sum;
-using mf::three_sum;
 using mf::two_prod;
 using mf::two_sum;
 
@@ -146,18 +145,6 @@ TEST(TwoProd, DekkerHardCase) {
     const auto [p, e] = two_prod(a, b);
     EXPECT_EQ(BigFloat::cmp(bf(p) + bf(e), bf(a) * bf(b)), 0);
     EXPECT_NE(e, 0.0);
-}
-
-TEST(ThreeSum, PreservesExactTriple) {
-    std::mt19937_64 rng(7);
-    std::uniform_real_distribution<double> u(-1.0, 1.0);
-    for (int i = 0; i < 20000; ++i) {
-        const double a = std::ldexp(u(rng), static_cast<int>(rng() % 60) - 30);
-        const double b = std::ldexp(u(rng), static_cast<int>(rng() % 60) - 30);
-        const double c = std::ldexp(u(rng), static_cast<int>(rng() % 60) - 30);
-        const auto [s0, s1, s2] = three_sum(a, b, c);
-        EXPECT_EQ(BigFloat::cmp(bf(s0) + bf(s1) + bf(s2), bf(a) + bf(b) + bf(c)), 0);
-    }
 }
 
 TEST(EftFloat, WorksAtSinglePrecision) {

@@ -1,11 +1,16 @@
-// The fast hand-inlined kernels in mf/ and the checkable Network mirrors in
-// fpan/library.cpp must compute gate-for-gate identical results: any drift
-// would mean the verified object is not the shipped object.
+// The add/mul kernels in mf/ run the compile-time gate tables of
+// mf/networks.hpp; fpan/library.cpp copies the same tables into Network
+// data. Here the independent executor (textbook gate bodies, one gate at a
+// time) runs each copy on the kernels' inputs, and the results must agree
+// bit for bit: a fault in the compile-time runner, in the kernels' wire
+// loading or in the copy would show as a mismatch.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "fpan/executor.hpp"
 #include "fpan/library.hpp"
@@ -17,20 +22,20 @@ using namespace mf;
 using namespace mf::fpan;
 using mf::test::adversarial;
 
-template <int N>
+template <typename T, int N>
 void check_add_consistency(std::uint64_t seed, int iters) {
     const Network net = make_add_network(N);
     std::mt19937_64 rng(seed);
     for (int t = 0; t < iters; ++t) {
-        const auto x = adversarial<double, N>(rng);
+        const auto x = adversarial<T, N>(rng);
         const auto y = (t % 4 == 1) ? mf::test::cancellation_partner(x, rng)
-                                    : adversarial<double, N>(rng);
-        double w[2 * N];
+                                    : adversarial<T, N>(rng);
+        T w[2 * N];
         for (int i = 0; i < N; ++i) {
             w[2 * i] = x.limb[i];
             w[2 * i + 1] = y.limb[i];
         }
-        execute(net, std::span<double>(w, 2 * N));
+        execute(net, std::span<T>(w, 2 * N));
         const auto z = add(x, y);
         for (int k = 0; k < N; ++k) {
             ASSERT_EQ(w[net.outputs[static_cast<std::size_t>(k)]], z.limb[k])
@@ -39,15 +44,15 @@ void check_add_consistency(std::uint64_t seed, int iters) {
     }
 }
 
-template <int N>
+template <typename T, int N>
 void check_mul_consistency(std::uint64_t seed, int iters) {
     const Network net = make_mul_network(N);
     const auto labels = mul_network_labels(N);
     std::mt19937_64 rng(seed);
     for (int t = 0; t < iters; ++t) {
-        const auto x = adversarial<double, N>(rng, -12, 12);
-        const auto y = adversarial<double, N>(rng, -12, 12);
-        std::vector<double> w(labels.size());
+        const auto x = adversarial<T, N>(rng, -12, 12);
+        const auto y = adversarial<T, N>(rng, -12, 12);
+        std::vector<T> w(labels.size());
         for (std::size_t k = 0; k < labels.size(); ++k) {
             const auto i = static_cast<std::size_t>(labels[k][1] - '0');
             const auto j = static_cast<std::size_t>(labels[k][2] - '0');
@@ -57,7 +62,7 @@ void check_mul_consistency(std::uint64_t seed, int iters) {
                 w[k] = std::fma(x.limb[i], y.limb[j], -(x.limb[i] * y.limb[j]));
             }
         }
-        execute(net, std::span<double>(w));
+        execute(net, std::span<T>(w));
         const auto z = mul(x, y);
         for (int k = 0; k < N; ++k) {
             ASSERT_EQ(w[static_cast<std::size_t>(net.outputs[static_cast<std::size_t>(k)])],
@@ -67,12 +72,18 @@ void check_mul_consistency(std::uint64_t seed, int iters) {
     }
 }
 
-TEST(FpanConsistency, Add2) { check_add_consistency<2>(11, 20000); }
-TEST(FpanConsistency, Add3) { check_add_consistency<3>(22, 20000); }
-TEST(FpanConsistency, Add4) { check_add_consistency<4>(33, 20000); }
-TEST(FpanConsistency, Mul2) { check_mul_consistency<2>(44, 20000); }
-TEST(FpanConsistency, Mul3) { check_mul_consistency<3>(55, 20000); }
-TEST(FpanConsistency, Mul4) { check_mul_consistency<4>(66, 20000); }
+TEST(FpanConsistency, Add2) { check_add_consistency<double, 2>(11, 20000); }
+TEST(FpanConsistency, Add3) { check_add_consistency<double, 3>(22, 20000); }
+TEST(FpanConsistency, Add4) { check_add_consistency<double, 4>(33, 20000); }
+TEST(FpanConsistency, Mul2) { check_mul_consistency<double, 2>(44, 20000); }
+TEST(FpanConsistency, Mul3) { check_mul_consistency<double, 3>(55, 20000); }
+TEST(FpanConsistency, Mul4) { check_mul_consistency<double, 4>(66, 20000); }
+TEST(FpanConsistency, Add2Float) { check_add_consistency<float, 2>(111, 20000); }
+TEST(FpanConsistency, Add3Float) { check_add_consistency<float, 3>(122, 20000); }
+TEST(FpanConsistency, Add4Float) { check_add_consistency<float, 4>(133, 20000); }
+TEST(FpanConsistency, Mul2Float) { check_mul_consistency<float, 2>(144, 20000); }
+TEST(FpanConsistency, Mul3Float) { check_mul_consistency<float, 3>(155, 20000); }
+TEST(FpanConsistency, Mul4Float) { check_mul_consistency<float, 4>(166, 20000); }
 
 TEST(FpanExecutor, RunsOverFloat) {
     // The executor is value-type generic: float wires behave like the

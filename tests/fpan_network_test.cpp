@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fpan/library.hpp"
 #include "fpan/network.hpp"
 
@@ -61,6 +64,46 @@ TEST(Network, SerializeParseRoundTrip) {
 TEST(Network, SerializeFormat) {
     const Network n = make_mul_network(2);
     EXPECT_EQ(n.serialize(), "mul2 wires=4 out=0,2 : A(2,3) A(2,1) F(0,2)");
+}
+
+TEST(Network, GateListsArePinned) {
+    // The exact gate lists of the shipped tables (mf/networks.hpp) and of
+    // the no-renorm sweep the regression test checks. A table edit shows up
+    // here as a diff, and must be re-verified before it ships.
+    const std::vector<std::string> expected = {
+        "add2 wires=4 out=0,3 : T(0,1) T(2,3) A(2,1) F(0,2) A(3,2) F(0,3)",
+        "add3 wires=6 out=0,2,1 : T(0,1) T(2,3) T(4,5) T(3,5) T(4,3) T(1,4) T(2,1) "
+        "T(0,2) T(3,5) T(4,3) T(1,4) T(2,1) T(3,5) T(4,3) T(1,4) F(0,2) F(2,1) F(1,4)",
+        "add4 wires=8 out=0,2,1,4 : T(0,1) T(2,3) T(4,5) T(6,7) T(5,7) T(6,5) T(3,6) "
+        "T(4,3) T(1,4) T(2,1) T(0,2) T(5,7) T(6,5) T(3,6) T(4,3) T(1,4) T(2,1) T(5,7) "
+        "T(6,5) T(3,6) T(4,3) T(1,4) T(5,7) T(6,5) T(3,6) T(4,3) F(0,2) F(2,1) F(1,4) "
+        "F(4,3)",
+        "mul2 wires=4 out=0,2 : A(2,3) A(2,1) F(0,2)",
+        "mul3 wires=9 out=0,2,3 : T(2,3) A(4,5) A(6,7) T(2,1) A(3,4) A(3,6) A(3,8) "
+        "A(3,1) T(2,3) T(0,2) T(2,3) F(0,2) F(2,3)",
+        "mul4 wires=16 out=0,2,6,7 : T(2,3) T(6,7) T(4,5) A(12,13) A(14,15) A(8,9) "
+        "T(2,1) T(6,4) T(6,10) T(6,3) T(6,1) A(7,5) A(7,12) A(7,14) A(7,8) A(7,11) "
+        "A(7,4) A(7,10) A(7,3) A(7,1) T(6,7) T(2,6) T(0,2) T(6,7) T(2,6) T(6,7) "
+        "F(0,2) F(2,6) F(6,7)",
+        "add3_no_renorm wires=6 out=0,2,1 : T(0,1) T(2,3) T(4,5) T(3,5) T(4,3) T(1,4) "
+        "T(2,1) T(0,2) T(3,5) T(4,3) T(1,4) T(2,1) T(3,5) T(4,3) T(1,4)",
+    };
+    std::vector<std::string> got;
+    for (const Network& n : paper_networks()) got.push_back(n.serialize());
+    got.push_back(to_network("add3_no_renorm", add_sweep<3, 0>()).serialize());
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
+    // The TwoProd expansion step's wire order (mul_terms).
+    const std::vector<std::string> layouts = {
+        "p00 e00 p01 p10",
+        "p00 e00 p01 p10 e01 e10 p02 p20 p11",
+        "p00 e00 p01 p10 e01 e10 p02 p20 e02 e20 p11 e11 p03 p30 p12 p21",
+    };
+    for (int n = 2; n <= 4; ++n) {
+        std::string joined;
+        for (const std::string& l : mul_network_labels(n)) joined += (joined.empty() ? "" : " ") + l;
+        EXPECT_EQ(joined, layouts[static_cast<std::size_t>(n - 2)]);
+    }
 }
 
 TEST(Network, WellFormedRejects) {
