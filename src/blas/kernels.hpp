@@ -25,7 +25,9 @@
 // above 16 rows. AXPY, DOT, SCAL, GEMV and GER run their loop, or call the
 // pack kernel, on the calling thread: at BLAS-call sizes a fork costs more
 // than it saves, and DOT then returns the same bits at every worker count.
-// GEMV keeps the paper's ij loop order.
+// GEMV finds its parallelism on that thread instead: simd::gemv_aos reduces
+// W independent rows at once, one per pack lane, so the merge and tail steps
+// that a one-row dot runs as a scalar dependent chain run as pack ops.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
@@ -106,8 +108,10 @@ template <typename V>
     }
 }
 
-/// y <- A x  (A row-major rows x cols; ij loop order; MultiFloat rows reduce
-/// through the pack dot kernel, other types use a 4-way unrolled inner dot)
+/// y <- A x  (A row-major rows x cols). MultiFloat views run
+/// simd::gemv_aos, which reduces W rows at once (W lanes, one row each) and
+/// returns for every row the bits of one dot_aos over it; other types take
+/// the ij loop with a 4-way unrolled inner dot.
 template <typename V>
 void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     MF_GUARD_SENTINEL("blas.gemv");
@@ -115,10 +119,11 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     MF_BLAS_REQUIRE(a.rows == y.size, "blas.gemv", "a.rows == y.size");
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.gemv", "a.stride >= a.cols");
     const std::size_t m = a.cols;
-    for (std::size_t i = 0; i < a.rows; ++i) {
-        if constexpr (detail::is_multifloat_v<V>) {
-            y[i] = simd::dot_aos<typename V::value_type, V::num_limbs>(a.row(i), x.data, m);
-        } else {
+    if constexpr (detail::is_multifloat_v<V>) {
+        simd::gemv_aos<typename V::value_type, V::num_limbs>(a.data, a.stride, a.rows, m, x.data,
+                                                            y.data);
+    } else {
+        for (std::size_t i = 0; i < a.rows; ++i) {
             constexpr std::size_t K = 4;
             const V* arow = a.row(i);
             V part[K]{};

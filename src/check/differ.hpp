@@ -8,7 +8,7 @@
 // intrinsics for run them, the others run the portable Pack, so a runner
 // without AVX-512 still covers widths 8 and 16.
 //
-// Four surfaces are diffed:
+// Five surfaces are diffed:
 //   * elementwise kernels at each width vs. the scalar MultiFloat networks:
 //     planar add_range / fma_range, and axpy_aos on AoS spans (its loads
 //     and stores transpose packs in registers);
@@ -16,6 +16,8 @@
 //     max(8, W) accumulators, which pins the merge order: the historical
 //     eight-accumulator order for widths <= 8, sixteen accumulators at
 //     W = 16;
+//   * the row-blocked AoS gemv_aos (W rows per pack, one row per lane) vs.
+//     one dot_aos per row, on finite operands and on a specials corpus;
 //   * the packed cache-blocked GEMM engine (blas/engine) at each width vs.
 //     sequential planar::gemm across every thread count, including
 //     deliberately tiny cache blocks so pack edges are exercised;
@@ -59,10 +61,11 @@ namespace mf::check {
 /// One diffed (kernel, width/schedule) combination.
 struct DiffRecord {
     std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "axpy_aos" |
-                          ///< "dot_aos" | "gemm_packed" | "gemm_aos"
+                          ///< "dot_aos" | "gemv_aos" | "gemm_packed" | "gemm_aos"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< "w<W>"; for gemm "w<W>/threads=K" (gemm_aos:
+    std::string backend;  ///< "w<W>" (gemv_aos: also "w<W>/specials"); for gemm
+                          ///< "w<W>/threads=K" (gemm_aos:
                           ///< + "/gemm" or "/gemm_packed"), "w<W>/specials",
                           ///< "w<W>/cancel" or "nested"
     int width = 0;        ///< pack lanes under test
@@ -225,6 +228,7 @@ template <std::floating_point T, int N>
                                                     int rounds, const GenConfig& cfg = {}) {
     const char* type = sizeof(T) == 8 ? "double" : "float";
     std::vector<DiffRecord> out;
+    std::vector<DiffRecord> gemv_out;
     simd::for_each_width<T>([&](auto w) {
         constexpr int W = w();
         const std::string label = detail::width_label(W);
@@ -297,7 +301,36 @@ template <std::floating_point T, int N>
         out.push_back(std::move(dot_rec));
         out.push_back(std::move(axpy_aos_rec));
         out.push_back(std::move(dot_aos_rec));
+
+        // gemv_aos on 2W + 3 rows (whole row blocks and leftover rows) of
+        // stride cols + 2, against one dot_aos per row. Drawn after every
+        // other record of this width, so their corpora do not move. The
+        // specials record keeps its rows short (one block plus a tail), so
+        // that some of them stay finite.
+        for (const bool specials : {true, false}) {
+            const std::size_t rows = 2 * W + 3;
+            const std::size_t blk = W > 8 ? W : 8;
+            const std::size_t cols =
+                specials ? blk + 3 : n + static_cast<std::size_t>(rng() % 17);
+            const std::size_t lda = cols + 2;
+            const GenConfig gcfg = specials ? cfg : detail::finite(cfg);
+            planar::Vector<T, N> av, xv;
+            detail::fill_vectors(rng, rows * lda, gcfg, av);
+            detail::fill_vectors(rng, cols, gcfg, xv);
+            const std::vector<MultiFloat<T, N>> aa = detail::to_aos(av);
+            const std::vector<MultiFloat<T, N>> xa = detail::to_aos(xv);
+            std::vector<MultiFloat<T, N>> got(rows);
+            simd::gemv_aos<T, N, W>(aa.data(), lda, rows, cols, xa.data(), got.data());
+            std::uint64_t bad = 0;
+            for (std::size_t r = 0; r < rows; ++r) {
+                bad += detail::differs(
+                    got[r], simd::dot_aos<T, N, W>(aa.data() + r * lda, xa.data(), cols));
+            }
+            gemv_out.push_back(DiffRecord{"gemv_aos", type, N,
+                                          specials ? label + "/specials" : label, W, rows, bad});
+        }
     });
+    out.insert(out.end(), gemv_out.begin(), gemv_out.end());
     return out;
 }
 

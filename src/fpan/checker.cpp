@@ -367,4 +367,75 @@ CheckResult check_mul_exhaustive(const Network& net, int n, int p, int y_exp_ran
     return res;
 }
 
+namespace {
+
+/// Shared driver of the mixed-network checks: `load` fills the wires from
+/// (x, y), `exact` is the exact result.
+template <typename Load, typename Exact>
+CheckResult run_scalar_exhaustive(const Network& net, int n, int p, int y_exp_range,
+                                  int tail_depth, int bound_bits, Load&& load,
+                                  Exact&& exact) {
+    CheckResult res;
+    std::vector<std::vector<SoftFloat>> xs;
+    enumerate_expansions(n, p, 0, 0, tail_depth, xs);
+    const std::vector<SoftFloat> ys = all_values(p, -y_exp_range, y_exp_range);
+    std::vector<SoftFloat> wires(static_cast<std::size_t>(net.num_wires), SoftFloat(p));
+    std::vector<SoftFloat> z(net.outputs.size(), SoftFloat(p));
+    for (const auto& x : xs) {
+        for (const SoftFloat& y : ys) {
+            load(x, y, wires);
+            execute(net, std::span<SoftFloat>(wires));
+            for (std::size_t k = 0; k < net.outputs.size(); ++k) {
+                z[k] = wires[static_cast<std::size_t>(net.outputs[k])];
+            }
+            record_soft_case(res, z, exact(x, y), p, bound_bits);
+            if (!res.pass) {
+                std::ostringstream os;
+                os << "first failure: x/y case #" << res.cases;
+                res.note = os.str();
+                return res;
+            }
+        }
+    }
+    return res;
+}
+
+}  // namespace
+
+CheckResult check_add_scalar_exhaustive(const Network& net, int n, int p, int y_exp_range,
+                                        int tail_depth) {
+    return run_scalar_exhaustive(
+        net, n, p, y_exp_range, tail_depth, paper_add_bound_bits(n, p),
+        [n](const std::vector<SoftFloat>& x, const SoftFloat& y, std::vector<SoftFloat>& w) {
+            for (int i = 0; i < n; ++i) {
+                w[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
+            }
+            w[static_cast<std::size_t>(n)] = y;
+        },
+        [](const std::vector<SoftFloat>& x, const SoftFloat& y) {
+            return exact_sum_soft(x) + exact_sum_soft(std::span<const SoftFloat>(&y, 1));
+        });
+}
+
+CheckResult check_mul_scalar_exhaustive(const Network& net, int n, int p, int y_exp_range,
+                                        int tail_depth) {
+    return run_scalar_exhaustive(
+        net, n, p, y_exp_range, tail_depth, paper_mul_bound_bits(n, p),
+        [n](const std::vector<SoftFloat>& x, const SoftFloat& y, std::vector<SoftFloat>& w) {
+            // [p0, p1, e0, p2, e1, ..., p_{n-1}, e_{n-2}]
+            for (int i = 0; i < n; ++i) {
+                const auto pe = soft::two_prod(x[static_cast<std::size_t>(i)], y);
+                if (i == 0) {
+                    w[0] = pe.prod;
+                } else {
+                    w[static_cast<std::size_t>(2 * i - 1)] = pe.prod;
+                }
+                if (i < n - 1) w[static_cast<std::size_t>(2 * i + 2)] = pe.err;
+            }
+        },
+        [](const std::vector<SoftFloat>& x, const SoftFloat& y) {
+            return exact_sum_soft(x) * exact_sum_soft(std::span<const SoftFloat>(&y, 1));
+        });
+}
+
 }  // namespace mf::fpan

@@ -73,4 +73,15 @@ struct CheckResult {
 [[nodiscard]] CheckResult check_mul_exhaustive(const Network& net, int n, int p,
                                                int y_exp_range, int tail_depth);
 
+/// Exhaustive checks of the mixed expansion-scalar networks at small p
+/// (make_add_scalar_network / make_mul_scalar_network wire layouts): every
+/// n-term x enumerated as in check_add_exhaustive against every p-bit
+/// scalar y, zero included, with exponent in [-y_exp_range, +y_exp_range].
+/// The bounds are the full networks' (paper_add_bound_bits,
+/// paper_mul_bound_bits).
+[[nodiscard]] CheckResult check_add_scalar_exhaustive(const Network& net, int n, int p,
+                                                      int y_exp_range, int tail_depth);
+[[nodiscard]] CheckResult check_mul_scalar_exhaustive(const Network& net, int n, int p,
+                                                      int y_exp_range, int tail_depth);
+
 }  // namespace mf::fpan

@@ -37,6 +37,22 @@ Network make_mul_network(int n) {
     return to_network(name, mul_table<4>);
 }
 
+Network make_add_scalar_network(int n) {
+    require_paper_size(n, "make_add_scalar_network");
+    const std::string name = "add_scalar" + std::to_string(n);
+    if (n == 2) return to_network(name, add_scalar_table<2>);
+    if (n == 3) return to_network(name, add_scalar_table<3>);
+    return to_network(name, add_scalar_table<4>);
+}
+
+Network make_mul_scalar_network(int n) {
+    require_paper_size(n, "make_mul_scalar_network");
+    const std::string name = "mul_scalar" + std::to_string(n);
+    if (n == 2) return to_network(name, mul_scalar_table<2>);
+    if (n == 3) return to_network(name, mul_scalar_table<3>);
+    return to_network(name, mul_scalar_table<4>);
+}
+
 std::vector<std::string> mul_network_labels(int n) {
     require_paper_size(n, "mul_network_labels");
     if (n == 2) return labels<2>();

@@ -1,9 +1,9 @@
 #pragma once
-// The paper's six FPANs (Figures 2-7) as checkable Network data: copies of
-// the compile-time tables in mf/networks.hpp that the add/mul kernels run,
-// so the checked network is the shipped one. tests/fpan_consistency_test.cpp
-// runs each copy through the independent executor and compares it with the
-// kernels bit for bit.
+// The paper's six FPANs (Figures 2-7), and the two mixed expansion-scalar
+// forms, as checkable Network data: copies of the compile-time tables in
+// mf/networks.hpp that the add/mul kernels run, so the checked network is
+// the shipped one. tests/fpan_consistency_test.cpp runs each copy through
+// the independent executor and compares it with the kernels bit for bit.
 
 #include <string>
 
@@ -32,6 +32,17 @@ template <std::size_t W, std::size_t G, std::size_t O>
 /// diagrams and for building the wire vector from the TwoProd expansion
 /// step.
 [[nodiscard]] std::vector<std::string> mul_network_labels(int n);
+
+/// Expansion + scalar addition (n = 2, 3, 4), the network of mf::add(x, T):
+/// add_scalar_table<n>. Wires 0..n-1 carry x's limbs, wire n the scalar.
+[[nodiscard]] Network make_add_scalar_network(int n);
+
+/// Expansion * scalar accumulation (n = 2, 3, 4), the network of
+/// mf::mul(x, T): mul_scalar_table<n>. The caller performs the TwoProds
+/// (p_i, e_i) = TwoProd(x_i, y); wires carry [p0, p1, e0, p2, e1, ...,
+/// p_{n-1}, e_{n-2}] (e_{n-1} is discarded, and p_{n-1} needs only the
+/// rounded product).
+[[nodiscard]] Network make_mul_scalar_network(int n);
 
 /// The naive term-by-term sum of Eq. 9 -- intentionally WRONG (degrades to
 /// machine precision); used to demonstrate that the checker rejects it.

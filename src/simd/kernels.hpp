@@ -16,6 +16,11 @@
 //    for stores; simd::load_aos / store_aos in pack.hpp). Only data moves:
 //    the lanes run the same networks on the same limbs as the planar path.
 //
+// gemv_aos lays a third mapping over the AoS layout: the lanes of a pack
+// are W matrix rows. Each lane runs the gate sequence of its row's dot_aos,
+// so every row's result keeps dot_aos's bits, while the merge and tail
+// steps of W row reductions run as one pack op each.
+//
 // The kernels live in mf::simd and take the pack width W as their last
 // template parameter, defaulting to the build's native_width<T>: mf::blas
 // and mf::planar call simd::dot_aos<T, N>(...) and so on, while the tests,
@@ -23,6 +28,7 @@
 // explicitly. The load/store/broadcast/lane helpers they share are in
 // mf::simd::kernels.
 
+#include <array>
 #include <cstddef>
 
 #include "../mf/add.hpp"
@@ -192,11 +198,13 @@ void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
     for (; i < n; ++i) y[i] = add(mul(alpha, x[i]), y[i]);
 }
 
-/// <x, y> over AoS arrays; same BLK-accumulator discipline as planar dot.
-template <std::floating_point T, int N, int W = native_width<T>>
-[[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
-                                       const MultiFloat<T, N>* y, std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot_aos\"}", n);
+namespace kernels {
+
+/// The body of simd::dot_aos, without its op counter (gemv_aos runs it for
+/// its leftover rows and counts them itself).
+template <std::floating_point T, int N, int W>
+[[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x, const MultiFloat<T, N>* y,
+                                       std::size_t n) {
     using P = Pack<T, W>;
     constexpr std::size_t BLK = W > 8 ? W : 8;
     constexpr std::size_t A = BLK / W;
@@ -216,6 +224,78 @@ template <std::floating_point T, int N, int W = native_width<T>>
         acc = add(acc, mul(x[i], y[i]));
     }
     return acc;
+}
+
+}  // namespace kernels
+
+/// <x, y> over AoS arrays; same BLK-accumulator discipline as planar dot.
+template <std::floating_point T, int N, int W = native_width<T>>
+[[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
+                                       const MultiFloat<T, N>* y, std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot_aos\"}", n);
+    return kernels::dot_aos<T, N, W>(x, y, n);
+}
+
+/// y[r] = <a[r * lda + j], x[j]> over j in [0, cols), for r in [0, rows):
+/// row r of y <- A x on a row-major AoS matrix with row stride lda. Each
+/// y[r] is bit-identical to dot_aos(a + r * lda, x, cols): the lanes of a
+/// pack are W rows, and each lane runs its row's dot_aos gate sequence in
+/// the same order.
+///  * Vector phase: every row keeps its own max(8, W) accumulator lanes,
+///    and all W rows share each transposed x pack. (Reducing fewer rows
+///    per pass, to keep their accumulators in registers, measured no
+///    faster at any N: EXPERIMENTS.md, "Row-blocked gemv".)
+///  * Merge phase: the W rows' accumulators are transposed so that lane r
+///    holds row r; the max(8, W) merge adds are then pack adds over W rows.
+///  * Tail phase: each of the cols % max(8, W) tail columns is one pack
+///    mul(a column gathered across the rows, broadcast x[j]) and add.
+/// The rows % W leftover rows run dot_aos.
+template <std::floating_point T, int N, int W = native_width<T>>
+void gemv_aos(const MultiFloat<T, N>* a, std::size_t lda, std::size_t rows, std::size_t cols,
+              const MultiFloat<T, N>* x, MultiFloat<T, N>* y) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"gemv_aos\"}", rows * cols);
+    using P = Pack<T, W>;
+    using V = MultiFloat<P, N>;
+    constexpr std::size_t BLK = W > 8 ? W : 8;
+    constexpr std::size_t A = BLK / W;
+    const std::size_t body = cols - cols % BLK;
+    std::size_t r0 = 0;
+    for (; r0 + W <= rows; r0 += W) {
+        const MultiFloat<T, N>* arow = a + r0 * lda;
+        V part[W][A];
+        for (std::size_t blk = 0; blk < body; blk += BLK) {
+            for (std::size_t q = 0; q < A; ++q) {
+                const std::size_t i = blk + q * W;
+                const V xv = kernels::load_aos<P, T, N>(x + i);
+                for (int r = 0; r < W; ++r) {
+                    part[r][q] = add(part[r][q],
+                                     mul(kernels::load_aos<P, T, N>(arow + r * lda + i), xv));
+                }
+            }
+        }
+        V sum{};
+        for (std::size_t q = 0; q < A; ++q) {
+            std::array<P, W> lanes[N];
+            for (int k = 0; k < N; ++k) {
+                std::array<P, W> by_row;
+                for (int r = 0; r < W; ++r) by_row[r] = part[r][q].limb[k];
+                lanes[k] = simd::transpose(by_row);
+            }
+            for (int j = 0; j < W; ++j) {
+                V m;
+                for (int k = 0; k < N; ++k) m.limb[k] = lanes[k][j];
+                sum = add(sum, m);
+            }
+        }
+        for (std::size_t i = body; i < cols; ++i) {
+            MultiFloat<T, N> column[W];
+            for (int r = 0; r < W; ++r) column[r] = arow[r * lda + i];
+            sum = add(sum, mul(kernels::load_aos<P, T, N>(column),
+                               kernels::broadcast<P, T, N>(x[i])));
+        }
+        kernels::store_aos<P, T, N>(sum, y + r0);
+    }
+    for (; r0 < rows; ++r0) y[r0] = kernels::dot_aos<T, N, W>(a + r0 * lda, x, cols);
 }
 
 }  // namespace mf::simd

@@ -23,9 +23,11 @@
 // j * N + k -- into N limb packs and back. The x86 specializations do it in
 // registers: N full-width loads, one compile-time lane permute per output
 // register (their permute member), N full-width stores. Other packs copy
-// lanes.
+// lanes. transpose turns W packs into their W x W transpose with the same
+// permute member, in log2(W) butterfly steps.
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
@@ -758,6 +760,56 @@ MF_ALWAYS_INLINE void store_aos(const std::array<P, N>& v, void* p) noexcept {
                 std::memcpy(detail::aos_at<T>(p, j * N + k), &buf[j], sizeof(T));
             }
         }
+    }
+}
+
+namespace detail {
+
+/// Lane map of one butterfly step of a square transpose, over the register
+/// pair (s[r], s[r + H]) laid end to end (r without bit H): the step swaps
+/// bit H between register and lane index. The new s[r] (Hi = false) keeps
+/// its lanes without bit H and takes the others from s[r + H]; the new
+/// s[r + H] (Hi = true) the other way round.
+template <int W, int H, bool Hi>
+struct SwapMap {
+    [[nodiscard]] static constexpr int src(int j) noexcept {
+        if (Hi) return (j & H) ? W + j : j + H;
+        return (j & H) ? W + j - H : j;
+    }
+};
+
+}  // namespace detail
+
+/// Square transpose of W = P::width packs: lane j of result r is lane r of
+/// s[j]. Permute packs run log2(W) butterfly steps of two-register
+/// permutes (one vpermt2pd/ps each on AVX-512); other packs copy lanes.
+template <typename P>
+[[nodiscard]] MF_ALWAYS_INLINE std::array<P, P::width> transpose(std::array<P, P::width> s) noexcept {
+    using T = typename P::value_type;
+    constexpr int W = P::width;
+    if constexpr (W == 1) {
+        return s;
+    } else if constexpr (LanePermute<P>) {
+        const auto step = [&]<int H>() {
+            for (int r = 0; r < W; ++r) {
+                if (r & H) continue;
+                const std::array<P, 2> pair{s[r], s[r + H]};
+                s[r] = P::template permute<detail::SwapMap<W, H, false>>(pair);
+                s[r + H] = P::template permute<detail::SwapMap<W, H, true>>(pair);
+            }
+        };
+        [&]<int... L>(std::integer_sequence<int, L...>) {
+            (step.template operator()<(W >> (L + 1))>(), ...);
+        }(std::make_integer_sequence<int, std::bit_width(static_cast<unsigned>(W)) - 1>{});
+        return s;
+    } else {
+        std::array<P, W> r;
+        T buf[W];
+        for (int j = 0; j < W; ++j) {
+            for (int i = 0; i < W; ++i) buf[i] = s[i][j];
+            r[j] = P::load(buf);
+        }
+        return r;
     }
 }
 

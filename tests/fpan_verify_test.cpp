@@ -60,6 +60,32 @@ TEST(NetworkExhaustive, Add3ReducedWindow) {
     EXPECT_GT(r.cases, 1000000);
 }
 
+// The mixed expansion-scalar networks of mf::add(x, T) and mf::mul(x, T),
+// every x of the window against every p = 3 scalar within 2^+-4 of it.
+class ScalarNetworkExhaustive : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScalarNetworkExhaustive, AddAtP3) {
+    const int n = GetParam();
+    const CheckResult r =
+        check_add_scalar_exhaustive(make_add_scalar_network(n), n, 3, 4, n == 4 ? 1 : 2);
+    EXPECT_TRUE(r.pass) << r.note << " worst=2^" << r.worst_err_log2
+                        << " ovl=" << r.worst_overlap_bits;
+    EXPECT_GT(r.cases, 10000);
+    EXPECT_EQ(r.worst_overlap_bits, 0);
+}
+
+TEST_P(ScalarNetworkExhaustive, MulAtP3) {
+    const int n = GetParam();
+    const CheckResult r =
+        check_mul_scalar_exhaustive(make_mul_scalar_network(n), n, 3, 4, n == 4 ? 1 : 2);
+    EXPECT_TRUE(r.pass) << r.note << " worst=2^" << r.worst_err_log2
+                        << " ovl=" << r.worst_overlap_bits;
+    EXPECT_GT(r.cases, 10000);
+    EXPECT_EQ(r.worst_overlap_bits, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSizes, ScalarNetworkExhaustive, ::testing::Values(2, 3, 4));
+
 TEST(NetworkRegression, SweepWithoutRenormOverlapsAtSmallP) {
     // Found by the exhaustive checker during development: dropping the final
     // FastTwoSum renormalization pass leaves a 1-bit nonoverlap violation for

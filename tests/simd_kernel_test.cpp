@@ -3,13 +3,16 @@
 // the scalar mf::add / mf::mul kernels on the elementwise paths -- including
 // empty, sub-width, and W+-1 tail sizes and misaligned range starts -- and
 // the reductions must match the scalar loop with max(8, W) accumulators
-// (the historical eight-accumulator order for widths <= 8). Mirrors
-// tests/planar_test.cpp on the explicit SIMD path.
+// (the historical eight-accumulator order for widths <= 8); the row-blocked
+// gemv_aos must match one dot_aos per row. Mirrors tests/planar_test.cpp on
+// the explicit SIMD path.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <type_traits>
 #include <utility>
@@ -175,6 +178,89 @@ TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
             }
         }
     });
+}
+
+/// A gemv operand: an adversarial expansion, subnormal tails included, or,
+/// when `specials` is set, about one time in six a qNaN, +-Inf, -0.0 or a
+/// subnormal lead.
+template <typename T, int N>
+MultiFloat<T, N> gemv_entry(std::mt19937_64& rng, bool specials) {
+    using MF = MultiFloat<T, N>;
+    using lim = std::numeric_limits<T>;
+    switch (specials ? rng() % 30 : 30) {
+        case 0: return MF(lim::quiet_NaN());
+        case 1: return MF(lim::infinity());
+        case 2: return MF(-lim::infinity());
+        case 3: {
+            MF z;
+            for (int k = 0; k < N; ++k) z.limb[k] = T(-0.0);
+            return z;
+        }
+        case 4: return MF(lim::denorm_min() * static_cast<T>(rng() % 1000 + 1));
+        default: return adversarial<T, N>(rng, -6, 6, /*subnormals=*/true);
+    }
+}
+
+/// simd::gemv_aos<T, N, W> at every width against one dot_aos<T, N, W> per
+/// row, bit for bit, on strided rows (lda > cols, the padding holding qNaN)
+/// and with the elements past y[rows) left untouched. Every third row, and
+/// x at one row count per shape, carry specials. A NaN limb must be NaN on
+/// both sides, whatever its sign and payload: the compiler may commute the
+/// operands of an IEEE add, and x86 returns the first operand's NaN.
+template <typename T, int N>
+void gemv_aos_matches_row_dots(std::mt19937_64& rng) {
+    using MF = MultiFloat<T, N>;
+    simd::for_each_width<T>([&](auto w) {
+        constexpr std::size_t W = w();
+        constexpr std::size_t BLK = W > 8 ? W : 8;
+        for (std::size_t rows : {std::size_t(0), std::size_t(1), W - 1, W, W + 1, 2 * W + 3}) {
+            for (std::size_t cols : {std::size_t(0), std::size_t(1), std::size_t(7), BLK,
+                                     BLK + 3, 3 * BLK + 5}) {
+                const std::size_t lda = cols + 2;
+                const MF pad(std::numeric_limits<T>::quiet_NaN());
+                std::vector<MF> a(rows * lda, pad);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        a[r * lda + j] = gemv_entry<T, N>(rng, r % 3 == 2);
+                    }
+                }
+                std::vector<MF> x(cols);
+                for (MF& v : x) v = gemv_entry<T, N>(rng, rows == W + 1);
+                const MF guard(T(-7.25));
+                std::vector<MF> y(rows + 3, guard);
+                simd::gemv_aos<T, N, static_cast<int>(W)>(a.data(), lda, rows, cols, x.data(),
+                                                          y.data());
+                for (std::size_t r = 0; r < rows + 3; ++r) {
+                    const MF want =
+                        r < rows ? simd::dot_aos<T, N, static_cast<int>(W)>(a.data() + r * lda,
+                                                                            x.data(), cols)
+                                 : guard;
+                    for (int k = 0; k < N; ++k) {
+                        if (std::isnan(want.limb[k])) {
+                            ASSERT_TRUE(std::isnan(y[r].limb[k]))
+                                << "N=" << N << " W=" << W << " rows=" << rows
+                                << " cols=" << cols << " r=" << r << " limb " << k;
+                            continue;
+                        }
+                        ASSERT_EQ(bits(y[r].limb[k]), bits(want.limb[k]))
+                            << "N=" << N << " W=" << W << " rows=" << rows << " cols=" << cols
+                            << " r=" << r << " limb " << k;
+                    }
+                }
+            }
+        }
+    });
+}
+
+TYPED_TEST(SimdKernelTyped, GemvAosEveryWidthMatchesRowDots) {
+    using T = typename TypeParam::value_type;
+    constexpr int N = TypeParam::num_limbs;
+    std::mt19937_64 rng(27);
+    gemv_aos_matches_row_dots<T, N>(rng);
+    // The type list has no N = 1 and no float N = 3: the N = 2 instances
+    // also run N = 1, and the float N = 4 instance runs float N = 3.
+    if constexpr (N == 2) gemv_aos_matches_row_dots<T, 1>(rng);
+    if constexpr (std::is_same_v<T, float> && N == 4) gemv_aos_matches_row_dots<float, 3>(rng);
 }
 
 // The AoS axpy kernel at every width, and planar::axpy at the native width.
